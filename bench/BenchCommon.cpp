@@ -47,9 +47,10 @@ void bench::addStandardOptions(OptionSet &Opts) {
                  "written here as v2 trace files and reused across "
                  "invocations");
   Opts.addString("exec-tier", "",
-                 "SimIR execution backend: reference|threaded|fused "
-                 "(default SPECCTRL_EXEC_TIER, else reference; results "
-                 "are bit-identical across all tiers)");
+                 std::string("SimIR execution backend: ") + ExecTierChoices +
+                     " (default SPECCTRL_EXEC_TIER, else " +
+                     execTierName(DefaultExecTier) +
+                     "; results are bit-identical across tiers)");
   Opts.addFlag("verify-distill",
                "verify every distilled code version before dispatch "
                "(SPECCTRL_VERIFY)");
@@ -79,9 +80,8 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
   const std::string TierName = Opts.getString("exec-tier");
   if (!TierName.empty() && !parseExecTier(TierName, Cfg.Tier)) {
     std::fprintf(stderr,
-                 "specctrl: --exec-tier=%s is not a tier "
-                 "(reference|threaded); keeping %s\n",
-                 TierName.c_str(), execTierName(Cfg.Tier));
+                 "specctrl: --exec-tier=%s is not a tier (%s); keeping %s\n",
+                 TierName.c_str(), ExecTierChoices, execTierName(Cfg.Tier));
   }
   if (Opts.getFlag("verify-distill"))
     Cfg.VerifyDistill = true;

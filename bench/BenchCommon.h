@@ -55,7 +55,7 @@ struct SuiteOptions {
   std::string TraceCacheDir;
   /// SimIR execution tier for MSSP-backed benches (--exec-tier, default
   /// from SPECCTRL_EXEC_TIER).  Never changes results, only throughput.
-  ExecTier Tier = ExecTier::Reference;
+  ExecTier Tier = DefaultExecTier;
 };
 
 /// Registers the workload-scaling options (--events-per-billion,

@@ -1,35 +1,34 @@
 //===- bench/exec_tier.cpp - Execution-backend throughput microbenches ----===//
 //
 // google-benchmark microbenches comparing the two SimIR execution tiers
-// behind fsim::ExecBackend (the PR-6 tentpole):
+// behind fsim::ExecBackend:
 //
-//   reference  the seed switch-dispatch interpreter (fsim::Interpreter),
-//              kept verbatim as the bit-exactness oracle;
-//   threaded   the pre-decoded direct-threaded tier (exec/
+//   reference  the switch-dispatch interpreter (fsim::Interpreter), the
+//              bit-exactness oracle;
+//   fused      the pre-decoded direct-threaded tier (exec/
 //              ThreadedBackend) with superinstruction fusion for the
-//              distiller's hot patterns.
+//              distiller's hot patterns, the default.
 //
 // BM_ExecRegion is the headline number: the Figure 7 default workload
 // (bzip2-like, 90k iterations) with every region distilled under its
 // dominant-direction assertion set -- exactly the code the MSSP master
 // executes -- run end to end on a bare backend with no observer.  Items
 // are MSSP tasks (4 iterations each), so items_per_second is directly
-// comparable against BM_Mssp's tasks/sec in BENCH_mssp.json.  The
-// acceptance bar is threaded >= 5x that baseline.
+// comparable against BM_Mssp's tasks/sec in BENCH_mssp.json.
 //
 // BM_ExecOriginal runs the undistilled program (the checker's side), and
 // BM_MsspTier the full MSSP simulation under each tier, showing how much
 // of the raw-dispatch win survives the timing model and task protocol.
 // The equivalence suite (tests/exec/ExecBackendEquivalenceTest.cpp) and
-// the fig7 golden CSV under --exec-tier threaded pin both tiers to
+// the fig7/fig8 golden CSVs, run under both tiers, pin them to
 // bit-identical results, so every delta here is free throughput.
 //
 // BM_TimedRegion is the timing-tier axis: the same distilled workload
 // with a full CoreTiming model attached -- per-instruction virtual
-// observer dispatch under reference/threaded versus the fused tier's
-// block-charged runTimed loop (the PR-9 tentpole).  All three produce
-// bit-identical cycle counts (tests/mssp/TimingFusedTest.cpp), so the
-// fused delta is pure timing-model overhead removed.
+// observer dispatch on the reference interpreter versus the fused tier's
+// block-charged runTimed loop.  Both produce bit-identical cycle counts
+// (tests/mssp/TimingFusedTest.cpp), so the fused delta is pure
+// timing-model overhead removed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,7 +111,7 @@ void BM_ExecRegion(benchmark::State &State, ExecTier Tier) {
 }
 BENCHMARK_CAPTURE(BM_ExecRegion, reference, ExecTier::Reference)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExecRegion, threaded, ExecTier::Threaded)
+BENCHMARK_CAPTURE(BM_ExecRegion, fused, ExecTier::TimingFused)
     ->Unit(benchmark::kMillisecond);
 
 /// The undistilled program (what the checker executes).
@@ -132,7 +131,7 @@ void BM_ExecOriginal(benchmark::State &State, ExecTier Tier) {
 }
 BENCHMARK_CAPTURE(BM_ExecOriginal, reference, ExecTier::Reference)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExecOriginal, threaded, ExecTier::Threaded)
+BENCHMARK_CAPTURE(BM_ExecOriginal, fused, ExecTier::TimingFused)
     ->Unit(benchmark::kMillisecond);
 
 /// Event-only timing policy for runTimed: what the fused tier feeds
@@ -156,9 +155,9 @@ private:
 };
 
 /// The timing-tier axis: the distilled fig7 workload driving a full
-/// leading-core CoreTiming model.  reference/threaded pay a virtual
-/// ExecObserver call per retired instruction; fused charges straight-line
-/// issue cost once per block and only touches the models at events.
+/// leading-core CoreTiming model.  reference pays a virtual ExecObserver
+/// call per retired instruction; fused charges straight-line issue cost
+/// once per block and only touches the models at events.
 void BM_TimedRegion(benchmark::State &State, ExecTier Tier) {
   const SynthProgram &P = fig7Program();
   const std::vector<distill::DistillResult> &Regions =
@@ -194,14 +193,12 @@ void BM_TimedRegion(benchmark::State &State, ExecTier Tier) {
 }
 BENCHMARK_CAPTURE(BM_TimedRegion, reference, ExecTier::Reference)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TimedRegion, threaded, ExecTier::Threaded)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TimedRegion, fused, ExecTier::TimingFused)
     ->Unit(benchmark::kMillisecond);
 
-/// The full MSSP simulation (fig7 closed-loop defaults, full fast path)
-/// under each tier: how much of the dispatch win survives the timing
-/// model, digesting, and the task protocol.
+/// The full MSSP simulation (fig7 closed-loop defaults) under each tier:
+/// how much of the dispatch win survives the timing model, verification,
+/// and the task protocol.
 void BM_MsspTier(benchmark::State &State, ExecTier Tier) {
   MsspConfig Cfg;
   Cfg.Tier = Tier;
@@ -223,8 +220,6 @@ void BM_MsspTier(benchmark::State &State, ExecTier Tier) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_MsspTier, reference, ExecTier::Reference)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_MsspTier, threaded, ExecTier::Threaded)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MsspTier, fused, ExecTier::TimingFused)
     ->Unit(benchmark::kMillisecond);

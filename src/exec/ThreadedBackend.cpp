@@ -281,10 +281,7 @@ void ThreadedBackend::setArchPosition(const ArchPosition &Position) {
 std::unique_ptr<ExecBackend> exec::createBackend(ExecTier Tier,
                                                  const ir::Module &M,
                                                  std::vector<uint64_t> Memory) {
-  // TimingFused is the threaded backend too: the tier selects how timing
-  // consumers drive it (runTimed's block-charging loop), not a different
-  // execution engine.
-  if (Tier == ExecTier::Threaded || Tier == ExecTier::TimingFused)
+  if (Tier == ExecTier::TimingFused)
     return std::make_unique<ThreadedBackend>(M, std::move(Memory));
   return std::make_unique<Interpreter>(M, std::move(Memory));
 }

@@ -31,7 +31,7 @@
 ///
 /// Both the event streams and the architectural state are bit-identical to
 /// fsim::Interpreter::run (pinned by ExecBackendEquivalenceTest and the
-/// fig7 golden CSVs under --exec-tier threaded).
+/// fig7/fig8 golden CSVs, which run under both tiers).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -156,7 +156,7 @@ struct DecodedFunction {
 /// ThreadedBackend's per-version cache.
 std::unique_ptr<DecodedFunction> decodeFunction(const ir::Function &F);
 
-/// The direct-threaded ExecBackend (ExecTier::Threaded).  Construction,
+/// The direct-threaded ExecBackend (ExecTier::TimingFused).  Construction,
 /// code-version swaps, and position transplants mirror fsim::Interpreter;
 /// see the file comment for how execution differs.
 class ThreadedBackend final : public fsim::ExecBackend {
@@ -266,8 +266,9 @@ createBackend(ExecTier Tier, const ir::Module &M, std::vector<uint64_t> Memory);
 //   retire (InstRet/Fuel/advance) -> execute -> data events -> control
 //   transfer -> onInstruction -> stop-flag check
 // with faults, halt, and entry-return behaving byte-for-byte like the
-// reference (see Interpreter.cpp).  Handlers re-derive the frame pointer,
-// code base, and register window only at control-flow boundaries.
+// reference (Interpreter::runLoop in fsim/Interpreter.h).  Handlers
+// re-derive the frame pointer, code base, and register window only at
+// control-flow boundaries.
 
 #if SPECCTRL_EXEC_COMPUTED_GOTO
 // Token threading: every handler ends in its own indirect jump.

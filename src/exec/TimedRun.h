@@ -26,12 +26,14 @@
 ///  * Any hook that needs the completed-instruction count (the reactive
 ///    controller's monitor windows key off it) gets `Done`, reconstructed
 ///    as Retired - (LimitIP - IP): everything charged minus the charged-
-///    but-not-yet-completed tail.  This equals the per-instruction
-///    observer's count bit-for-bit (the legacy checker observer counts an
-///    instruction *after* its data/branch events fire).
+///    but-not-yet-completed tail.  This equals the per-instruction count
+///    bit-for-bit: fsim::Interpreter::runTimed, the reference drive of the
+///    same policies, counts an instruction *after* its data/branch events
+///    fire.
 ///
 /// Exactness contract (pinned by tests/mssp/TimingFusedTest.cpp and the
-/// fig7/fig8/table5 golden CSVs under --exec-tier fused):
+/// fig7/fig8 golden CSVs, produced by this loop by default and by the
+/// reference interpreter under --exec-tier reference):
 ///
 ///  * instructionsRetired() is exact at every exit.  Early exits refund
 ///    the unexecuted tail of the open charge (Retired -= LimitIP - IP);

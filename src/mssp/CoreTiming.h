@@ -44,8 +44,8 @@ public:
   void onCall(uint32_t Callee) override;
   void onReturn(uint32_t Callee) override;
 
-  // Non-virtual hot-path equivalents of the hooks above.  The statically
-  // dispatched MSSP fast path calls these directly; the virtual overrides
+  // Non-virtual hot-path equivalents of the hooks above.  The MSSP and
+  // baseline timing policies call these directly; the virtual overrides
   // delegate to them, so both paths share one definition of the timing
   // rules.
   //

@@ -13,22 +13,32 @@
 ///    leading core's timing model;
 ///  * the CHECKER executes the original program on the trailing cores'
 ///    timing model, providing ground truth: it feeds the branch and
-///    value-invariance controllers, and its per-task state digest
+///    value-invariance controllers, and its per-task architectural state
 ///    verifies the master's.
 ///
 /// Tasks are fixed iteration windows of the program's main loop.  Each
 /// task is shipped to the earliest-free trailing core for verification
 /// (paying coherence hops); tasks commit in order; the master stalls when
-/// its checkpoint buffer fills.  A digest mismatch is a task
+/// its checkpoint buffer fills.  A state mismatch is a task
 /// misspeculation: the master's architectural state is restored from the
 /// trailing execution and the master restarts after detection + recovery
 /// latency -- hundreds of cycles, exactly the penalty regime that makes
-/// speculation control matter.
+/// speculation control matter.  Verification and recovery touch only the
+/// writable words either execution stored to during the task (the dirty
+/// set): both start every task with equal memory, so the clean words are
+/// equal by construction.
 ///
 /// The dynamic optimizer is the distiller: the controller's deploy/revoke
 /// requests complete after a configurable optimization latency, at which
 /// point the affected region is re-distilled under the current assertion
-/// set and swapped into the master's code map.
+/// set and swapped into the master's code map.  Distilled versions are
+/// memoized by their exact request, so FSM evict/revisit oscillations
+/// re-deploy a cached version instead of re-running the distiller.
+///
+/// Both executions run on the backend of MsspConfig::Tier through one
+/// event-only policy family: the threaded backend's block-charging
+/// runTimed loop by default, the reference interpreter's runTimed adapter
+/// as the oracle.  The tiers agree bit-for-bit in every result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,33 +56,11 @@
 #include "workload/ProgramSynthesizer.h"
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
 namespace specctrl {
 namespace mssp {
-
-/// Fast-path toggles.  Each optimization preserves MsspResult bit-exactly
-/// (pinned by tests/mssp/MsspGoldenTest.cpp); the flags exist so the
-/// benchmark suite can measure them individually and so a regression can
-/// be bisected to one mechanism.  All default on.
-struct MsspFastPath {
-  /// Dirty-set task verification: the task loop runs on the statically
-  /// dispatched interpreter pipeline, which tracks stored-to writable
-  /// addresses so digest comparison and squash recovery cost O(stores in
-  /// task) instead of O(writable memory) -- and the per-instruction
-  /// observer virtual calls disappear with it.
-  bool IncrementalDigest = true;
-  /// Key code-cache entries by the exact distillation request, so FSM
-  /// evict/revisit oscillations re-deploy cached versions instead of
-  /// re-running the distiller.
-  bool MemoizedDistill = true;
-  /// SiteId/FunctionId-indexed vectors for assertions and value
-  /// constants, and a flat hash for the per-load value-site lookup,
-  /// replacing std::map on the hot paths.
-  bool DenseTables = true;
-};
 
 /// MSSP simulation parameters.
 struct MsspConfig {
@@ -97,17 +85,12 @@ struct MsspConfig {
   /// Stop after this many checker (architectural) instructions; 0 = run
   /// the program to completion.
   uint64_t MaxInstructions = 0;
-  /// Simulator-throughput optimizations (never change results).
-  MsspFastPath FastPath;
   /// Execution backend for both the master and the checker (never changes
   /// results -- the tiers are bit-exact in events AND cycle counts; pinned
-  /// by the fig7 golden CSVs under --exec-tier threaded/fused and by
+  /// by the fig7/fig8 golden CSVs under both tiers and by
   /// tests/mssp/TimingFusedTest.cpp).  Benches thread RunConfig's tier
-  /// here.  TimingFused drives the threaded backend through the
-  /// block-charging runTimed loop when IncrementalDigest is on; with
-  /// IncrementalDigest off it behaves exactly like Threaded (the legacy
-  /// virtual-observer loop needs per-instruction hooks).
-  ExecTier Tier = ExecTier::Reference;
+  /// here.
+  ExecTier Tier = DefaultExecTier;
 };
 
 /// Simulation outputs.
@@ -118,9 +101,9 @@ struct MsspResult {
   uint64_t MasterInstructions = 0;  ///< distilled instructions executed
   uint64_t CheckerInstructions = 0; ///< original instructions executed
   uint64_t OptRequests = 0;      ///< controller deploy+revoke requests
-  /// Region code redeployments (each completed request batch rebuilds the
-  /// affected regions once -- whether freshly distilled or served from
-  /// the keyed code cache, so the count is invariant under memoization).
+  /// Region code redeployments: each completed request batch rebuilds the
+  /// affected regions once, freshly distilled or served from the keyed
+  /// code cache (Regenerations == DistillCacheHits + DistillCacheMisses).
   uint64_t Regenerations = 0;
   uint64_t DistillCacheHits = 0;   ///< rebuilds served from the keyed cache
   uint64_t DistillCacheMisses = 0; ///< rebuilds that ran the distiller
@@ -148,9 +131,9 @@ public:
   /// Single-shot: construct a new simulator for another run.
   MsspResult run();
 
-  /// Internal hook for the fast-path checker observer: feeds one region
-  /// load to the value-invariance controller.  Public only because the
-  /// observer lives in the implementation file.
+  /// Internal hook for the checker policy: feeds one region load to the
+  /// value-invariance controller.  Public only because the policy lives
+  /// in the implementation file.
   void noteRegionLoad(const fsim::InstLocation &L, uint64_t Value,
                       uint64_t InstRet);
 
@@ -175,40 +158,25 @@ private:
   /// Maps a load location to a dense value-site id (lazily).
   uint32_t valueSiteId(uint32_t Func, distill::LocKey Loc);
 
-  uint64_t stateDigest(const fsim::ExecBackend &Interp) const;
-  void restoreMasterFromChecker();
   void processOptCompletions();
   void rebuildRegion(uint32_t FunctionId);
-
-  /// Collects the deployed speculations for \p FunctionId from whichever
-  /// table representation is active.
+  /// Collects the deployed speculations for \p FunctionId.
   distill::DistillRequest buildDistillRequest(uint32_t FunctionId) const;
 
-  // Deployed-speculation mutation, dispatched on FastPath.DenseTables.
-  void setAssertion(ir::SiteId Site, bool Direction);
-  void clearAssertion(ir::SiteId Site);
-  void setValueConstant(uint32_t Func, distill::LocKey Loc, int64_t Value);
-  void clearValueConstant(uint32_t Func, distill::LocKey Loc);
-
-  // Dirty-set verification (FastPath.IncrementalDigest).  The per-task
-  // dirty compare/restore themselves live in the implementation file as
-  // templates over the concrete backend, so loadWord devirtualizes.
-  void initDirtyTracking();
+  /// Copies the dirty set and the checker's position into the master
+  /// (squash recovery), and marks the dirty set clean (task end).
   void restoreMasterDirty();
   void clearDirtyAddrs();
 
-  /// The task loop, instantiated once per execution path: Fast uses the
-  /// statically dispatched backend pipeline (BackendT is the concrete
-  /// backend, so runWith inlines the observers) plus dirty-set
-  /// verification; Fused (implies Fast, ThreadedBackend only) drives the
-  /// block-charging runTimed loop instead, bulk-charging each run slice's
-  /// straight-line issue cost into the core timing; the legacy
-  /// instantiation uses the virtual-observer path and full digests with
-  /// BackendT = fsim::ExecBackend.  Returns the final commit time.
-  template <bool Fast, bool Fused, class BackendT, class MasterObsT,
-            class CheckerObsT>
+  /// The task loop, instantiated once per backend (exec::ThreadedBackend,
+  /// fsim::Interpreter); both drive the same policies through runTimed
+  /// and bulk-charge each slice's issue cost.  \p ControlSites and
+  /// \p RegionFunc are the checker policy's per-site / per-function
+  /// filters.  Returns the final commit time.
+  template <class BackendT>
   uint64_t taskLoop(BackendT &MasterB, BackendT &CheckerB,
-                    MasterObsT &MasterObs, CheckerObsT &CheckerObs);
+                    const std::vector<bool> &ControlSites,
+                    const std::vector<bool> &RegionFunc);
 
   const workload::SynthProgram &Program;
   MsspConfig Config;
@@ -235,19 +203,11 @@ private:
   };
   ValueSinkAdapter ValueSink{*this};
 
-  /// Deployed branch assertions (non-control sites only).
-  std::map<ir::SiteId, bool> Assertions;
-  /// Deployed value constants, per region function.
-  std::map<uint32_t, std::map<distill::LocKey, int64_t>> ValueConstants;
-  /// Dense ids for load sites (for the value controller).
-  std::map<std::pair<uint32_t, distill::LocKey>, uint32_t> ValueSiteIds;
-  std::vector<ValueSite> ValueSites; ///< id -> site
+  std::vector<ValueSite> ValueSites; ///< dense value-site id -> site
   std::vector<PendingOpt> Pending;
-  std::vector<uint64_t> WritableAddrs;
 
-  // --- Dense-table representation (FastPath.DenseTables) ----------------
-  /// SiteId-indexed assertion state: 0 = none, 1 = assert not-taken,
-  /// 2 = assert taken.
+  /// SiteId-indexed deployed branch assertions: 0 = none, 1 = assert
+  /// not-taken, 2 = assert taken (control sites stay 0).
   std::vector<uint8_t> AssertState;
   /// FunctionId -> its site ids, sorted (request-building iteration).
   std::vector<std::vector<ir::SiteId>> SitesByFunc;
@@ -257,9 +217,8 @@ private:
   /// Packed (function, location) -> dense value-site id.
   FlatMap64 ValueSiteMap;
 
-  // --- Dirty-set verification (FastPath.IncrementalDigest) --------------
-  /// Word-addr-indexed classification: 0 = not writable (stores ignored,
-  /// exactly as the full digest ignores them), 1 = writable and clean
+  /// Word-addr-indexed classification: 0 = outside the program's
+  /// writable set (stores there are not tracked), 1 = writable and clean
   /// this task, 2 = writable and dirty.
   std::vector<uint8_t> AddrClass;
   /// Writable addresses stored to by either execution this task.
@@ -280,7 +239,7 @@ private:
 uint64_t simulateSuperscalarBaseline(const workload::SynthProgram &Program,
                                      const MachineConfig &Machine,
                                      uint64_t MaxInstructions = 0,
-                                     ExecTier Tier = ExecTier::Reference);
+                                     ExecTier Tier = DefaultExecTier);
 
 } // namespace mssp
 } // namespace specctrl

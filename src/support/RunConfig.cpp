@@ -65,8 +65,6 @@ const char *specctrl::execTierName(ExecTier Tier) {
   switch (Tier) {
   case ExecTier::Reference:
     return "reference";
-  case ExecTier::Threaded:
-    return "threaded";
   case ExecTier::TimingFused:
     return "fused";
   }
@@ -76,10 +74,6 @@ const char *specctrl::execTierName(ExecTier Tier) {
 bool specctrl::parseExecTier(const std::string &Name, ExecTier &Out) {
   if (Name == "reference") {
     Out = ExecTier::Reference;
-    return true;
-  }
-  if (Name == "threaded") {
-    Out = ExecTier::Threaded;
     return true;
   }
   if (Name == "fused") {
@@ -99,8 +93,11 @@ RunConfig RunConfig::fromEnv(std::string *Warnings) {
     if (!parseExecTier(Env, Out.Tier) && Warnings) {
       *Warnings += "SPECCTRL_EXEC_TIER=";
       *Warnings += Env;
-      *Warnings +=
-          " is not a tier (reference|threaded|fused); keeping reference\n";
+      *Warnings += " is not a tier (";
+      *Warnings += ExecTierChoices;
+      *Warnings += "); keeping ";
+      *Warnings += execTierName(Out.Tier);
+      *Warnings += "\n";
     }
   }
   Out.ServeEpochEvents =

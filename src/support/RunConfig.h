@@ -18,7 +18,7 @@
 ///
 ///   SPECCTRL_VERIFY=1            deploy-time distill verification gate
 ///   SPECCTRL_ARENA_VERBOSE=1     per-materialization trace-arena logging
-///   SPECCTRL_EXEC_TIER=reference|threaded|fused   default SimIR exec tier
+///   SPECCTRL_EXEC_TIER=reference|fused   SimIR exec tier (default fused)
 ///   SPECCTRL_SERVE_EPOCH_EVENTS=N   serve-layer epoch length (events)
 ///   SPECCTRL_SERVE_RING_EVENTS=N    serve-layer ingest ring capacity
 ///   SPECCTRL_TRACE_MMAP=0        disable the zero-copy mmap trace tier
@@ -40,21 +40,26 @@
 namespace specctrl {
 
 /// Which SimIR execution backend to construct (see fsim/ExecBackend.h).
-/// Reference is the seed interpreter -- the bit-exactness oracle; Threaded
-/// is the pre-decoded direct-threaded tier in src/exec.  TimingFused runs
-/// the same threaded backend but lets timing-aware consumers (the MSSP
-/// simulator, the superscalar baseline) drive it through the
-/// block-charging runTimed loop, folding the CoreTiming updates into the
-/// dispatch handlers instead of per-instruction observer calls.  All
-/// three tiers are bit-exact in both events and cycle counts.
+/// Reference is the switch-dispatch fsim::Interpreter -- the bit-exactness
+/// oracle.  TimingFused is the pre-decoded direct-threaded
+/// exec::ThreadedBackend; timing-aware consumers (the MSSP simulator, the
+/// superscalar baseline) drive it through its block-charging runTimed
+/// loop, which calls the timing model only at branch/memory/call/return
+/// events.  Both tiers are bit-exact in events and cycle counts.
 enum class ExecTier : uint8_t {
   Reference,
-  Threaded,
   TimingFused,
 };
 
-/// Stable lowercase name ("reference" / "threaded" / "fused").
+/// The tier every default (RunConfig, MsspConfig, bench options, the
+/// superscalar baseline) starts from: the fastest one.
+inline constexpr ExecTier DefaultExecTier = ExecTier::TimingFused;
+
+/// Stable lowercase name ("reference" / "fused").
 const char *execTierName(ExecTier Tier);
+
+/// Every accepted tier name, '|'-separated, for diagnostics.
+inline constexpr const char *ExecTierChoices = "reference|fused";
 
 /// Parses an ExecTier name; returns false (leaving \p Out untouched) on an
 /// unknown spelling.
@@ -69,7 +74,7 @@ struct RunConfig {
   /// Per-materialization trace-arena logging to stderr.
   bool ArenaVerbose = false;
   /// Default SimIR execution tier for backend factories.
-  ExecTier Tier = ExecTier::Reference;
+  ExecTier Tier = DefaultExecTier;
   /// Default epoch length (events per stream between control-op points)
   /// for serve/StreamServer; snapshots and reconfigurations land exactly
   /// on multiples of this.

@@ -1,12 +1,12 @@
-//===- tests/mssp/MsspGoldenTest.cpp - MSSP fast-path golden pins ---------===//
+//===- tests/mssp/MsspGoldenTest.cpp - MSSP result golden pins ------------===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
-// Pins MsspResult bit-exactly against values captured from the
-// pre-fast-path implementation (the seed of this optimization work), and
-// proves every MsspFastPath flag combination produces identical results.
-// The fast path's whole contract is "never changes results"; these tests
-// are that contract.
+// Pins MsspResult bit-exactly against values captured from the first
+// implementation (full-digest verification, map-based tables, unkeyed
+// code cache), under both execution tiers.  Every later throughput
+// change to the simulator carries the contract "never changes results";
+// these tests are that contract.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,19 +34,13 @@ MsspConfig fig7Config() {
   return Cfg;
 }
 
-MsspFastPath maskPath(int Mask) {
-  MsspFastPath FP;
-  FP.IncrementalDigest = (Mask & 1) != 0;
-  FP.MemoizedDistill = (Mask & 2) != 0;
-  FP.DenseTables = (Mask & 4) != 0;
-  return FP;
-}
+constexpr ExecTier Tiers[] = {ExecTier::Reference, ExecTier::TimingFused};
 
 MsspResult runMssp(const std::string &Bench, uint64_t Iterations,
-                   MsspConfig Cfg, int Mask) {
+                   MsspConfig Cfg, ExecTier Tier) {
   const SynthProgram Program =
       synthesize(makeSynthSpecFor(profileByName(Bench), Iterations));
-  Cfg.FastPath = maskPath(Mask);
+  Cfg.Tier = Tier;
   MsspSimulator Sim(Program, Cfg);
   return Sim.run();
 }
@@ -65,8 +59,6 @@ void expectStatsEq(const core::ControlStats &A, const core::ControlStats &B,
   EXPECT_EQ(A.EventsConsumed, B.EventsConsumed) << Tag;
 }
 
-/// Everything except the cache counters, which are definitionally zero
-/// without MemoizedDistill (their own invariant is checked separately).
 void expectResultsEq(const MsspResult &A, const MsspResult &B,
                      const std::string &Tag) {
   EXPECT_EQ(A.TotalCycles, B.TotalCycles) << Tag;
@@ -76,25 +68,20 @@ void expectResultsEq(const MsspResult &A, const MsspResult &B,
   EXPECT_EQ(A.CheckerInstructions, B.CheckerInstructions) << Tag;
   EXPECT_EQ(A.OptRequests, B.OptRequests) << Tag;
   EXPECT_EQ(A.Regenerations, B.Regenerations) << Tag;
+  EXPECT_EQ(A.DistillCacheHits, B.DistillCacheHits) << Tag;
+  EXPECT_EQ(A.DistillCacheMisses, B.DistillCacheMisses) << Tag;
   EXPECT_EQ(A.MasterBranchMispredicts, B.MasterBranchMispredicts) << Tag;
   expectStatsEq(A.Controller, B.Controller, Tag + "/branch-ctrl");
   expectStatsEq(A.ValueController, B.ValueController, Tag + "/value-ctrl");
 }
 
-/// The memoization counters account for every redeployment exactly once
-/// when the flag is on, and stay untouched when it is off.
-void expectCacheCounterInvariant(const MsspResult &R, int Mask,
-                                 const std::string &Tag) {
-  if ((Mask & 2) != 0) {
-    EXPECT_EQ(R.DistillCacheHits + R.DistillCacheMisses, R.Regenerations)
-        << Tag;
-  } else {
-    EXPECT_EQ(R.DistillCacheHits, 0u) << Tag;
-    EXPECT_EQ(R.DistillCacheMisses, 0u) << Tag;
-  }
+/// The memoization counters account for every redeployment exactly once.
+void expectCacheCounterInvariant(const MsspResult &R, const std::string &Tag) {
+  EXPECT_EQ(R.DistillCacheHits + R.DistillCacheMisses, R.Regenerations)
+      << Tag;
 }
 
-/// Values captured from the pre-optimization implementation (seed commit,
+/// Values captured from the first implementation (seed commit,
 /// full-digest verification, map-based tables, unkeyed code cache).
 struct Golden {
   uint64_t TotalCycles, Tasks, TaskSquashes;
@@ -123,15 +110,15 @@ void expectGolden(const MsspResult &R, const Golden &G,
   EXPECT_EQ(R.ValueController.Evictions, G.ValEvict) << Tag;
 }
 
-/// Runs one golden configuration on the legacy path (mask 0) and the full
-/// fast path (mask 7) and pins both to the captured values.
+/// Runs one golden configuration under both execution tiers and pins
+/// each to the captured values.
 void checkGolden(const std::string &Bench, uint64_t Iterations,
                  MsspConfig Cfg, const Golden &G) {
-  for (const int Mask : {0, 7}) {
-    const MsspResult R = runMssp(Bench, Iterations, Cfg, Mask);
-    expectGolden(R, G, Bench + "/mask" + std::to_string(Mask));
-    expectCacheCounterInvariant(R, Mask,
-                                Bench + "/mask" + std::to_string(Mask));
+  for (const ExecTier Tier : Tiers) {
+    const std::string Tag = Bench + "/" + execTierName(Tier);
+    const MsspResult R = runMssp(Bench, Iterations, Cfg, Tier);
+    expectGolden(R, G, Tag);
+    expectCacheCounterInvariant(R, Tag);
   }
 }
 
@@ -177,47 +164,22 @@ TEST(MsspGoldenTest, Bzip2TinyTasksAndBuffer) {
                102, 2, 8, 2, 0, 0});
 }
 
-// ---- Flag-combination bit-identity ---------------------------------------
-
-TEST(MsspGoldenTest, AllFlagCombosBitIdenticalBzip2) {
-  const MsspResult Legacy = runMssp("bzip2", 10000, fig7Config(), 0);
-  for (int Mask = 1; Mask <= 7; ++Mask) {
-    const MsspResult R = runMssp("bzip2", 10000, fig7Config(), Mask);
-    expectResultsEq(R, Legacy, "bzip2/mask" + std::to_string(Mask));
-    expectCacheCounterInvariant(R, Mask,
-                                "bzip2/mask" + std::to_string(Mask));
-  }
-}
-
-TEST(MsspGoldenTest, AllFlagCombosBitIdenticalGccValueSpec) {
-  MsspConfig Cfg = fig7Config();
-  Cfg.EnableValueSpeculation = true;
-  Cfg.ValueControl = Cfg.Control;
-  const MsspResult Legacy = runMssp("gcc", 10000, Cfg, 0);
-  for (int Mask = 1; Mask <= 7; ++Mask) {
-    const MsspResult R = runMssp("gcc", 10000, Cfg, Mask);
-    expectResultsEq(R, Legacy, "gcc-vs/mask" + std::to_string(Mask));
-    expectCacheCounterInvariant(R, Mask,
-                                "gcc-vs/mask" + std::to_string(Mask));
-  }
-}
-
 // ---- Completion ordering --------------------------------------------------
 
 // With a long optimization latency several pending requests become ready
 // on the same task boundary, so one processOptCompletions call drains a
 // batch: region rebuild order and request completion order are what this
-// pins (fast and legacy paths must agree exactly; mcf's oscillating
-// periodic branches make the batch non-trivial).
+// pins (both tiers must agree exactly; mcf's oscillating periodic
+// branches make the batch non-trivial).
 TEST(MsspGoldenTest, CompletionBatchOrdering) {
   for (const uint64_t Latency : {0ull, 5000ull, 200000ull}) {
     MsspConfig Cfg = fig7Config();
     Cfg.OptLatencyCycles = Latency;
-    const MsspResult Legacy = runMssp("mcf", 10000, Cfg, 0);
-    const MsspResult Fast = runMssp("mcf", 10000, Cfg, 7);
-    expectResultsEq(Fast, Legacy, "mcf/lat" + std::to_string(Latency));
-    expectCacheCounterInvariant(Fast, 7,
-                                "mcf/lat" + std::to_string(Latency));
+    const std::string Tag = "mcf/lat" + std::to_string(Latency);
+    const MsspResult Ref = runMssp("mcf", 10000, Cfg, ExecTier::Reference);
+    const MsspResult Fused = runMssp("mcf", 10000, Cfg, ExecTier::TimingFused);
+    expectResultsEq(Fused, Ref, Tag);
+    expectCacheCounterInvariant(Fused, Tag);
   }
 }
 

@@ -58,17 +58,24 @@ private:
 
 TEST(ExecTier, NamesRoundTrip) {
   EXPECT_STREQ(execTierName(ExecTier::Reference), "reference");
-  EXPECT_STREQ(execTierName(ExecTier::Threaded), "threaded");
+  EXPECT_STREQ(execTierName(ExecTier::TimingFused), "fused");
+  EXPECT_STREQ(ExecTierChoices, "reference|fused");
 
   ExecTier Tier = ExecTier::Reference;
-  EXPECT_TRUE(parseExecTier("threaded", Tier));
-  EXPECT_EQ(Tier, ExecTier::Threaded);
+  EXPECT_TRUE(parseExecTier("fused", Tier));
+  EXPECT_EQ(Tier, ExecTier::TimingFused);
   EXPECT_TRUE(parseExecTier("reference", Tier));
   EXPECT_EQ(Tier, ExecTier::Reference);
 
-  Tier = ExecTier::Threaded;
+  Tier = ExecTier::TimingFused;
   EXPECT_FALSE(parseExecTier("jit", Tier));
-  EXPECT_EQ(Tier, ExecTier::Threaded) << "unknown names leave Out untouched";
+  EXPECT_EQ(Tier, ExecTier::TimingFused) << "unknown names leave Out untouched";
+  // The threaded tier was folded into fused; its old name is unknown now.
+  EXPECT_FALSE(parseExecTier("threaded", Tier));
+  EXPECT_EQ(Tier, ExecTier::TimingFused) << "unknown names leave Out untouched";
+  Tier = ExecTier::Reference;
+  EXPECT_FALSE(parseExecTier("threaded", Tier));
+  EXPECT_EQ(Tier, ExecTier::Reference) << "unknown names leave Out untouched";
 }
 
 TEST(RunConfig, DefaultsWithEmptyEnvironment) {
@@ -77,7 +84,9 @@ TEST(RunConfig, DefaultsWithEmptyEnvironment) {
   const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
   EXPECT_FALSE(Cfg.VerifyDistill);
   EXPECT_FALSE(Cfg.ArenaVerbose);
-  EXPECT_EQ(Cfg.Tier, ExecTier::Reference);
+  EXPECT_EQ(Cfg.Tier, DefaultExecTier);
+  EXPECT_EQ(DefaultExecTier, ExecTier::TimingFused)
+      << "the fastest tier is the default";
   EXPECT_TRUE(Warnings.empty());
 }
 
@@ -85,12 +94,12 @@ TEST(RunConfig, CanonicalNamesParseSilently) {
   ScopedEnv Env;
   Env.set("SPECCTRL_VERIFY", "1");
   Env.set("SPECCTRL_ARENA_VERBOSE", "1");
-  Env.set("SPECCTRL_EXEC_TIER", "threaded");
+  Env.set("SPECCTRL_EXEC_TIER", "reference");
   std::string Warnings;
   const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
   EXPECT_TRUE(Cfg.VerifyDistill);
   EXPECT_TRUE(Cfg.ArenaVerbose);
-  EXPECT_EQ(Cfg.Tier, ExecTier::Threaded);
+  EXPECT_EQ(Cfg.Tier, ExecTier::Reference);
   EXPECT_TRUE(Warnings.empty()) << Warnings;
 }
 
@@ -131,14 +140,17 @@ TEST(RunConfig, CanonicalNameWinsOverAlias) {
       << "no deprecation note when the alias is shadowed: " << Warnings;
 }
 
-TEST(RunConfig, UnknownTierWarnsAndKeepsReference) {
-  ScopedEnv Env;
-  Env.set("SPECCTRL_EXEC_TIER", "turbo");
-  std::string Warnings;
-  const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_EQ(Cfg.Tier, ExecTier::Reference);
-  EXPECT_NE(Warnings.find("SPECCTRL_EXEC_TIER=turbo"), std::string::npos)
-      << Warnings;
+TEST(RunConfig, UnknownTierWarnsAndKeepsDefault) {
+  for (const char *Bad : {"turbo", "threaded"}) {
+    ScopedEnv Env;
+    Env.set("SPECCTRL_EXEC_TIER", Bad);
+    std::string Warnings;
+    const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
+    EXPECT_EQ(Cfg.Tier, DefaultExecTier) << Bad;
+    // The note names the bad value, the real choices, and the tier kept.
+    EXPECT_EQ(Warnings, std::string("SPECCTRL_EXEC_TIER=") + Bad +
+                            " is not a tier (reference|fused); keeping fused\n");
+  }
 }
 
 TEST(RunConfig, ServeKnobsDefaultAndParse) {
@@ -210,9 +222,9 @@ TEST(RunConfig, SweepProcsDefaultsAutoAndParses) {
 TEST(RunConfig, SetGlobalOverrides) {
   const RunConfig Before = RunConfig::global();
   RunConfig Override = Before;
-  Override.Tier = ExecTier::Threaded;
+  Override.Tier = ExecTier::Reference;
   RunConfig::setGlobal(Override);
-  EXPECT_EQ(RunConfig::global().Tier, ExecTier::Threaded);
+  EXPECT_EQ(RunConfig::global().Tier, ExecTier::Reference);
   RunConfig::setGlobal(Before); // restore for the rest of the binary
   EXPECT_EQ(RunConfig::global().Tier, Before.Tier);
 }

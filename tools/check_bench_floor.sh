@@ -13,7 +13,8 @@
 #     loop.  This is the direct measurement of the fused tier and is
 #     robustly ~2x.
 #   BM_MsspTier fused/reference >= MIN_LOOP (default 1.1x) -- the full
-#     MSSP closed loop.  Digesting, verification, and the task protocol
+#     MSSP closed loop.  Both tiers run the same task loop and policies;
+#     the task protocol, verification, and the timing model's event work
 #     are tier-common and Amdahl-bound this ratio (and a noisy/throttled
 #     host compresses it further), so the floor only guards against the
 #     fused tier losing its advantage outright.
