@@ -28,6 +28,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace specctrl;
 
@@ -143,18 +144,24 @@ BENCHMARK(BM_TracePipe_Replay<1>)->Arg(1)->Arg(4096)
 BENCHMARK(BM_TracePipe_Replay<2>)->Arg(1)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
-/// A table4-shaped sweep (one workload, a ladder of reactive configs)
+/// A table4-shaped sweep (\p Specs x a ladder of reactive configs)
 /// through the experiment engine, with and without the trace arena:
 /// synthesize-once-and-replay vs regenerate-per-cell.  Arguments are
 /// (UseArena, Jobs); each iteration builds a fresh arena, so the reported
 /// time includes the one-time materialization cost the sweep amortizes.
-void BM_TraceArena(benchmark::State &State) {
+/// Rates are per wall second: the cells run on pool threads, so the
+/// calling thread's CPU time measures nothing.  Arena runs report how
+/// many opens waited on another worker's materialization of their key
+/// and for how long in total.
+void runArenaSweep(benchmark::State &State,
+                   const std::vector<workload::WorkloadSpec> &Specs) {
   const bool UseArena = State.range(0) != 0;
   const unsigned Jobs = static_cast<unsigned>(State.range(1));
   const double Ladder[] = {0.98, 0.99, 0.995, 0.998, 0.9995, 0.9999};
 
   engine::ExperimentPlan Plan;
-  Plan.addBenchmark(pipeSpec());
+  for (const workload::WorkloadSpec &Spec : Specs)
+    Plan.addBenchmark(Spec);
   for (double T : Ladder)
     Plan.addConfig("t" + std::to_string(T),
                    [T](const engine::CellContext &) {
@@ -184,7 +191,16 @@ void BM_TraceArena(benchmark::State &State) {
         benchmark::Counter(static_cast<double>(Arena.Materializations));
     State.counters["resident_bytes"] =
         benchmark::Counter(static_cast<double>(Arena.ResidentBytes));
+    State.counters["blocked_opens"] =
+        benchmark::Counter(static_cast<double>(Arena.BlockedOpens));
+    State.counters["blocked_ms"] =
+        benchmark::Counter(Arena.BlockedSeconds * 1e3);
   }
+}
+
+/// One workload: every cell shares a single arena key.
+void BM_TraceArena(benchmark::State &State) {
+  runArenaSweep(State, {pipeSpec()});
 }
 BENCHMARK(BM_TraceArena)
     ->ArgNames({"arena", "jobs"})
@@ -192,6 +208,25 @@ BENCHMARK(BM_TraceArena)
     ->Args({1, 1})
     ->Args({0, 4})
     ->Args({1, 4})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Four suite workloads: cells of distinct keys compete for the workers,
+/// so the engine's submission order decides whether workers materialize
+/// different keys or wait on one.
+void BM_TraceArenaSuite(benchmark::State &State) {
+  static const std::vector<workload::WorkloadSpec> Specs = [] {
+    std::vector<workload::WorkloadSpec> Out;
+    for (const char *Name : {"bzip2", "gzip", "mcf", "vpr"})
+      Out.push_back(workload::makeBenchmark(Name, PipeScale));
+    return Out;
+  }();
+  runArenaSweep(State, Specs);
+}
+BENCHMARK(BM_TraceArenaSuite)
+    ->ArgNames({"arena", "jobs"})
+    ->Args({1, 3})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Recording throughput of each format (generation included, identical in

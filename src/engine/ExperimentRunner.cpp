@@ -10,6 +10,7 @@
 #include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <stdexcept>
@@ -146,12 +147,36 @@ RunReport ExperimentRunner::run(const ExperimentPlan &Plan) const {
     for (CellResult &Cell : Report.Cells)
       runPlanCell(Plan, Cell, BatchEvents);
   } else {
+    // With a trace arena the first cell to open a (benchmark, input) key
+    // materializes it and the key's other cells block until it is done,
+    // so benchmark-major submission would start every worker on the same
+    // cold key.  Arena plans are submitted config-major instead -- one
+    // wave per config, longest trace first within a wave -- so concurrent
+    // workers materialize distinct keys and later waves find theirs
+    // ready.  Report slots stay benchmark-major.
+    std::vector<CellResult *> Order;
+    Order.reserve(Report.Cells.size());
+    for (CellResult &Cell : Report.Cells)
+      Order.push_back(&Cell);
+    if (Plan.traceArena()) {
+      const auto EventsOf = [&Plan](const CellResult *Cell) {
+        return Plan.benchmarks()[Cell->Coord.Benchmark]
+            .Inputs[Cell->Coord.Input]
+            .Events;
+      };
+      std::stable_sort(Order.begin(), Order.end(),
+                       [&EventsOf](const CellResult *A, const CellResult *B) {
+                         if (A->Coord.Config != B->Coord.Config)
+                           return A->Coord.Config < B->Coord.Config;
+                         return EventsOf(A) > EventsOf(B);
+                       });
+    }
     ThreadPool Pool(Report.Jobs);
-    for (CellResult &Cell : Report.Cells) {
+    for (CellResult *Cell : Order) {
       const Clock::time_point Enqueued = Clock::now();
-      Pool.submit([&Plan, &Cell, BatchEvents, Enqueued] {
-        Cell.QueueWaitSeconds = secondsSince(Enqueued, Clock::now());
-        runPlanCell(Plan, Cell, BatchEvents);
+      Pool.submit([&Plan, Cell, BatchEvents, Enqueued] {
+        Cell->QueueWaitSeconds = secondsSince(Enqueued, Clock::now());
+        runPlanCell(Plan, *Cell, BatchEvents);
       });
     }
     Pool.wait();

@@ -17,8 +17,13 @@
 ///  * Failure isolation -- an exception escaping one cell is captured into
 ///    that cell's report slot (Failed/Error); sibling cells complete
 ///    normally and the run returns a full report.
-///  * Stable report order -- cells appear benchmark-major (benchmark,
-///    then input, then config) regardless of completion order.
+///  * Stable report order -- report slots are benchmark-major (benchmark,
+///    then input, then config) regardless of submission or completion
+///    order.  Parallel runs of arena plans are *submitted* config-major
+///    (one wave per config, longest trace first within a wave) so that
+///    concurrent workers materialize distinct arena keys instead of
+///    blocking on one; serial runs and arena-less plans run in report
+///    order.
 ///
 //===----------------------------------------------------------------------===//
 

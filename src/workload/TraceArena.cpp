@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -350,10 +351,24 @@ TraceArena::materialize(const WorkloadSpec &Spec, const InputConfig &Input) {
       Slot = std::make_unique<Entry>();
     E = Slot.get();
   }
+  if (E->Ready.load())
+    return E->Trace;
   // First caller materializes; racing callers for the same key block here
-  // (and only here -- other keys proceed independently).
-  std::call_once(E->Once,
-                 [&] { E->Trace = materializeKey(Key, Spec, Input); });
+  // (and only here -- other keys proceed independently) and are counted.
+  const auto Start = std::chrono::steady_clock::now();
+  bool Ran = false;
+  std::call_once(E->Once, [&] {
+    E->Trace = materializeKey(Key, Spec, Input);
+    E->Ready.store(true);
+    Ran = true;
+  });
+  if (!Ran) {
+    const std::chrono::duration<double> Waited =
+        std::chrono::steady_clock::now() - Start;
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Stats.BlockedOpens;
+    Stats.BlockedSeconds += Waited.count();
+  }
   return E->Trace;
 }
 

@@ -21,7 +21,9 @@
 ///    InstRet (the SCT2 round-trip property; pinned by TraceArenaTest).
 ///  * Generate-once under concurrency -- the first thread to request a key
 ///    materializes under a per-key std::call_once; racing threads block on
-///    that key only, then share the immutable encoded trace.
+///    that key only, then share the immutable encoded trace.  Those waits
+///    are counted (TraceArenaStats::BlockedOpens/BlockedSeconds); a warm
+///    hit reads no clock.
 ///  * Graceful fallback -- a trace that cannot be encoded (site or gap
 ///    beyond the SCT2 format limits) is served by a private TraceGenerator
 ///    instead, so callers never need a non-arena code path for
@@ -50,6 +52,7 @@
 
 #include "workload/TraceFile.h"
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,6 +76,10 @@ struct TraceArenaStats {
   uint64_t MmapLoads = 0;        ///< keys served zero-copy from a cache hit
   uint64_t MmapStores = 0;       ///< keys stream-generated to disk for mmap
   uint64_t MappedBytes = 0;      ///< file bytes served via the mmap tier
+  /// materialize() calls that found their key cold and waited on another
+  /// thread's materialization of it instead of running their own.
+  uint64_t BlockedOpens = 0;
+  double BlockedSeconds = 0.0; ///< total wait of the BlockedOpens
 };
 
 /// One immutable materialized trace: the full SCT2 file image plus a block
@@ -184,6 +191,8 @@ public:
 private:
   struct Entry {
     std::once_flag Once;
+    /// Set once Trace is final: the warm path skips call_once.
+    std::atomic<bool> Ready{false};
     std::shared_ptr<const MaterializedTrace> Trace; ///< null = fallback key
   };
   struct MmapEntry {

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace specctrl;
 using namespace specctrl::core;
 using namespace specctrl::workload;
@@ -49,6 +51,10 @@ struct SweepParam {
   const char *Name;
   ReactiveConfig Config;
 };
+
+// gtest prints a parameter into the listed test name; print the config
+// name rather than a byte dump of the struct.
+void PrintTo(const SweepParam &P, std::ostream *OS) { *OS << P.Name; }
 
 class ReactiveSweepTest : public ::testing::TestWithParam<SweepParam> {};
 

@@ -95,7 +95,19 @@ TEST(ArenaRaceTest, ColdKeyRaceMaterializesOnceAndMatchesSerialNoArena) {
     EXPECT_EQ(S.Materializations, 1u) << "round " << Round;
     EXPECT_EQ(S.CursorOpens, 8u) << "round " << Round;
     EXPECT_EQ(S.Fallbacks, 0u) << "round " << Round;
+    // Only cells that did not materialize can have waited on the key.
+    EXPECT_LE(S.BlockedOpens, S.CursorOpens - S.Materializations)
+        << "round " << Round;
   }
+
+  // Serially nothing ever waits on another thread's materialization.
+  auto Arena = std::make_shared<TraceArena>();
+  Plan.setTraceArena(Arena);
+  EXPECT_EQ(cellStats(runPlan(Plan, Serial)), Reference);
+  const TraceArenaStats S = Arena->stats();
+  EXPECT_EQ(S.Materializations, 1u);
+  EXPECT_EQ(S.BlockedOpens, 0u);
+  EXPECT_EQ(S.BlockedSeconds, 0.0);
 }
 
 TEST(ArenaRaceTest, SharedArenaAcrossPlansReusesMaterializations) {

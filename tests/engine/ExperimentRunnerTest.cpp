@@ -1,8 +1,8 @@
 //===- tests/engine/ExperimentRunnerTest.cpp ------------------------------===//
 //
-// Runner behavior: report layout, per-cell seeding, observer plumbing,
-// throughput accounting, and failure isolation (a throwing cell must not
-// poison its siblings).
+// Runner behavior: report layout, submission order, per-cell seeding,
+// observer plumbing, throughput accounting, and failure isolation (a
+// throwing cell must not poison its siblings).
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,11 +10,18 @@
 
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
+#include "workload/TraceArena.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 using namespace specctrl;
 using namespace specctrl::core;
@@ -82,7 +89,100 @@ public:
   uint64_t Events = 0;
 };
 
+/// Records the coordinates of the cells in the order they start, holding
+/// the first Gate starters until all of them have entered.  With a FIFO
+/// pool of Gate workers, the held cells are exactly the first Gate cells
+/// submitted.
+class StartRecorder {
+public:
+  explicit StartRecorder(size_t Gate) : Gate(Gate) {}
+
+  ControllerFactory factory() {
+    return [this](const CellContext &Ctx) {
+      std::unique_lock<std::mutex> Lock(Mutex);
+      Starts.push_back(Ctx.Coord);
+      if (Starts.size() == Gate)
+        Entered.notify_all();
+      else if (Starts.size() < Gate)
+        Entered.wait_for(Lock, std::chrono::seconds(30),
+                         [this] { return Starts.size() >= Gate; });
+      return std::make_unique<ReactiveController>(fastConfig());
+    };
+  }
+
+  std::vector<CellCoord> firstStarts() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return {Starts.begin(),
+            Starts.begin() +
+                static_cast<std::ptrdiff_t>(std::min(Gate, Starts.size()))};
+  }
+
+private:
+  const size_t Gate;
+  mutable std::mutex Mutex;
+  std::condition_variable Entered;
+  std::vector<CellCoord> Starts;
+};
+
+/// Four benchmarks with ascending trace lengths x three configs, all
+/// columns built by \p Recorder.
+ExperimentPlan orderPlan(StartRecorder &Recorder) {
+  ExperimentPlan Plan;
+  const char *Names[] = {"alpha", "beta", "gamma", "delta"};
+  for (uint64_t B = 0; B < 4; ++B)
+    Plan.addBenchmark(smallSpec(Names[B], B + 1, 4000 * (B + 1)));
+  for (const char *Config : {"one", "two", "three"})
+    Plan.addConfig(Config, Recorder.factory());
+  return Plan;
+}
+
 } // namespace
+
+TEST(ExperimentRunnerTest, ArenaPlanStartsDistinctKeysLongestFirst) {
+  StartRecorder Recorder(3);
+  ExperimentPlan Plan = orderPlan(Recorder);
+  auto Arena = std::make_shared<TraceArena>();
+  Plan.setTraceArena(Arena);
+
+  const RunReport Report = runPlan(Plan, {.Jobs = 3});
+  ASSERT_EQ(Report.Cells.size(), 12u);
+  EXPECT_EQ(Report.failedCells(), 0u);
+
+  // Config-major, longest trace first: the three workers start on the
+  // first config's three longest benchmarks, so none waits on another's
+  // materialization.
+  std::set<uint32_t> Benchmarks;
+  for (const CellCoord &Coord : Recorder.firstStarts()) {
+    EXPECT_EQ(Coord.Config, 0u);
+    Benchmarks.insert(Coord.Benchmark);
+  }
+  EXPECT_EQ(Benchmarks, (std::set<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(Arena->stats().Materializations, 4u);
+
+  // Report slots stay benchmark-major.
+  const std::vector<CellResult> Layout = layoutPlanCells(Plan);
+  for (size_t I = 0; I < Layout.size(); ++I)
+    EXPECT_EQ(Report.Cells[I].Coord, Layout[I].Coord) << "slot " << I;
+}
+
+TEST(ExperimentRunnerTest, PlanWithoutArenaStartsInLayoutOrder) {
+  StartRecorder Recorder(3);
+  const ExperimentPlan Plan = orderPlan(Recorder);
+
+  const RunReport Report = runPlan(Plan, {.Jobs = 3});
+  ASSERT_EQ(Report.Cells.size(), 12u);
+  EXPECT_EQ(Report.failedCells(), 0u);
+
+  // No arena, no shared materialization: cells go in report order, so the
+  // first three starts are layout cells 0-2.
+  std::set<uint32_t> Configs;
+  for (const CellCoord &Coord : Recorder.firstStarts()) {
+    EXPECT_EQ(Coord.Benchmark, 0u);
+    EXPECT_EQ(Coord.Input, 0u);
+    Configs.insert(Coord.Config);
+  }
+  EXPECT_EQ(Configs, (std::set<uint32_t>{0, 1, 2}));
+}
 
 TEST(ExperimentRunnerTest, ReportHasStableGridOrder) {
   ExperimentPlan Plan;

@@ -59,7 +59,11 @@ fi
 EXEC_BIN="${BUILD_DIR}/bench/exec_tier"
 EXEC_OUT="${BUILD_DIR}/BENCH_exec.json"
 if [ -x "${EXEC_BIN}" ]; then
+  # Five interleaved repetitions: the floor check compares each tier's
+  # best repetition, so one slow sample on a noisy host cannot fail it.
   "${EXEC_BIN}" \
+    --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_out="${EXEC_OUT}" \
     --benchmark_out_format=json \
     --benchmark_counters_tabular=true
