@@ -43,9 +43,9 @@ void bench::addStandardOptions(OptionSet &Opts) {
                "re-synthesize each sweep cell's trace instead of sharing "
                "one materialization (results are identical either way)");
   Opts.addString("trace-cache-dir", "",
-                 "disk tier for the trace arena: materialized traces are "
-                 "written here as v2 trace files and reused across "
-                 "invocations");
+                 "cache directory for the trace arena: traces are "
+                 "written here as page-aligned v2 trace files and mapped "
+                 "by later invocations");
   Opts.addString("exec-tier", "",
                  std::string("SimIR execution backend: ") + ExecTierChoices +
                      " (default SPECCTRL_EXEC_TIER, else " +

@@ -87,7 +87,7 @@ std::vector<workload::BenchmarkProfile>
 selectedProfiles(const SuiteOptions &Opt);
 
 /// The suite's trace arena under the standard options: a fresh arena
-/// (with the --trace-cache-dir disk tier when set), or null under
+/// (mapping --trace-cache-dir cache files when set), or null under
 /// --no-trace-arena.  suitePlan installs it automatically; hand-rolled
 /// benches pass it to runBenchWorkload.
 std::shared_ptr<workload::TraceArena> makeArena(const SuiteOptions &Opt);

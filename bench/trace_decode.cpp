@@ -9,9 +9,9 @@
 //    events per 8-byte load).  The SWAR path must beat the scalar path by
 //    >= 1.5x events/sec; the equivalence tests pin bit-identical output,
 //    so the speedup is free.
-//  * BM_Replay_* -- whole-trace replay throughput of the resident tier
-//    (TraceFileReader over an ifstream) vs the zero-copy mmap tier
-//    (MmapReplaySource over a page-aligned file).
+//  * BM_Replay_* -- whole-trace replay throughput of the streaming
+//    reader (TraceFileReader over an ifstream) vs the zero-copy mapped
+//    image (ArenaReplaySource over a mapped page-aligned file).
 //  * BM_Sweep -- a table4-shaped plan through the in-process thread-pool
 //    executor vs the forked work-stealing process pool, at 1 and 4
 //    workers (the BENCH_sweep.json trajectory point).
@@ -29,7 +29,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -68,14 +67,8 @@ struct BlockRef {
   uint32_t Events = 0;
 };
 
-uint32_t loadLE32(const uint8_t *P) {
-  uint32_t V;
-  std::memcpy(&V, P, sizeof(V));
-  return V;
-}
-
-/// Structural walk of the recorded image: (payload, bytes, count) per
-/// block, pad frames skipped -- the same walk MappedTrace::open performs.
+/// Structural walk of the recorded (packed, writer-produced) image:
+/// (payload, bytes, count) per block.
 const std::vector<BlockRef> &recordedBlocks() {
   static const std::vector<BlockRef> Blocks = [] {
     const std::string &Bytes = recordedV2();
@@ -83,12 +76,10 @@ const std::vector<BlockRef> &recordedBlocks() {
     std::vector<BlockRef> Out;
     size_t Off = workload::TraceV2HeaderBytes;
     while (Off + workload::TraceV2FrameBytes <= Bytes.size()) {
-      const uint32_t Count = loadLE32(Base + Off);
-      const uint32_t PayloadBytes = loadLE32(Base + Off + 4);
+      const workload::TraceV2Frame F = workload::readTraceV2Frame(Base + Off);
       Off += workload::TraceV2FrameBytes;
-      if (Count != 0)
-        Out.push_back({Base + Off, PayloadBytes, Count});
-      Off += PayloadBytes;
+      Out.push_back({Base + Off, F.PayloadBytes, F.Events});
+      Off += F.PayloadBytes;
     }
     return Out;
   }();
@@ -185,7 +176,7 @@ const std::string &alignedTracePath() {
   return File.path();
 }
 
-/// Whole-trace replay through the resident tier: ifstream ->
+/// Whole-trace replay through the streaming reader: ifstream ->
 /// TraceFileReader (read + checksum + checked decode every pass).
 void BM_Replay_Resident(benchmark::State &State) {
   const std::string &Path = alignedTracePath();
@@ -206,16 +197,16 @@ void BM_Replay_Resident(benchmark::State &State) {
 }
 BENCHMARK(BM_Replay_Resident)->Unit(benchmark::kMillisecond);
 
-/// Whole-trace replay through the zero-copy mmap tier: blocks decode in
-/// place from the shared mapping; after the first pass verifies the
-/// bitmap, every pass runs the trusted SWAR path.
+/// Whole-trace replay of the mapped image: blocks decode in place from
+/// the shared mapping; after the first pass verifies the bitmap, every
+/// pass runs the trusted SWAR path.
 void BM_Replay_Mmap(benchmark::State &State) {
   const std::string &Path = alignedTracePath();
   std::vector<workload::BranchEvent> Buf(workload::TraceV2BlockEvents);
   uint64_t Events = 0;
   for (auto _ : State) {
     std::string Error;
-    std::unique_ptr<workload::MmapReplaySource> Cursor =
+    std::unique_ptr<workload::ArenaReplaySource> Cursor =
         workload::MmapTraceStore::global().openCursor(Path, &Error);
     if (!Cursor)
       State.SkipWithError(Error.c_str());
@@ -229,7 +220,7 @@ void BM_Replay_Mmap(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(Events));
   std::string Error;
-  if (std::shared_ptr<const workload::MappedTrace> Trace =
+  if (std::shared_ptr<const workload::MaterializedTrace> Trace =
           workload::MmapTraceStore::global().open(Path, &Error))
     State.counters["mapped_bytes"] =
         benchmark::Counter(static_cast<double>(Trace->bytes()));

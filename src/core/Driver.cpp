@@ -6,7 +6,6 @@
 
 #include "core/Driver.h"
 
-#include "support/RunConfig.h"
 #include "workload/MmapTraceStore.h"
 #include "workload/TraceFile.h"
 
@@ -87,17 +86,6 @@ const ControlStats &core::runTrace(SpeculationController &Controller,
   return Stats;
 }
 
-const ControlStats &core::runTrace(SpeculationController &Controller,
-                                   workload::EventSource &Source,
-                                   const TraceHook &Hook,
-                                   size_t BatchEvents) {
-  if (!Hook)
-    return runTrace(Controller, Source, static_cast<TraceObserver *>(nullptr),
-                    BatchEvents);
-  LambdaTraceObserver Observer(Hook);
-  return runTrace(Controller, Source, &Observer, BatchEvents);
-}
-
 const ControlStats &core::runWorkload(SpeculationController &Controller,
                                       const workload::WorkloadSpec &Spec,
                                       const workload::InputConfig &Input,
@@ -106,19 +94,6 @@ const ControlStats &core::runWorkload(SpeculationController &Controller,
                                       TraceRunMetrics *Metrics) {
   workload::TraceGenerator Gen(Spec, Input);
   return runTrace(Controller, Gen, Observer, BatchEvents, Metrics);
-}
-
-const ControlStats &core::runWorkload(SpeculationController &Controller,
-                                      const workload::WorkloadSpec &Spec,
-                                      const workload::InputConfig &Input,
-                                      const TraceHook &Hook,
-                                      size_t BatchEvents) {
-  // Delegate so generator setup lives in one place (the observer overload).
-  if (!Hook)
-    return runWorkload(Controller, Spec, Input,
-                       static_cast<TraceObserver *>(nullptr), BatchEvents);
-  LambdaTraceObserver Observer(Hook);
-  return runWorkload(Controller, Spec, Input, &Observer, BatchEvents);
 }
 
 const ControlStats &core::runWorkload(SpeculationController &Controller,
@@ -138,18 +113,14 @@ const ControlStats &core::runTraceFile(SpeculationController &Controller,
                                        TraceObserver *Observer,
                                        size_t BatchEvents,
                                        TraceRunMetrics *Metrics) {
-  if (RunConfig::global().TraceMmap) {
-    std::string Error;
-    if (const std::unique_ptr<workload::MmapReplaySource> Cursor =
-            workload::MmapTraceStore::global().openCursor(Path, &Error)) {
-      const ControlStats &Stats =
-          runTrace(Controller, *Cursor, Observer, BatchEvents, Metrics);
-      if (Cursor->failed())
-        throw std::runtime_error("trace '" + Path + "': " + Cursor->error());
-      return Stats;
-    }
-    // v1 files are not mappable; fall through to the stream reader, which
-    // rejects anything genuinely malformed with a precise message.
+  std::string MapError;
+  if (const std::unique_ptr<workload::ArenaReplaySource> Cursor =
+          workload::MmapTraceStore::global().openCursor(Path, &MapError)) {
+    const ControlStats &Stats =
+        runTrace(Controller, *Cursor, Observer, BatchEvents, Metrics);
+    if (Cursor->failed())
+      throw std::runtime_error("trace '" + Path + "': " + Cursor->error());
+    return Stats;
   }
   std::ifstream In(Path, std::ios::binary);
   if (!In)
@@ -157,10 +128,11 @@ const ControlStats &core::runTraceFile(SpeculationController &Controller,
   workload::TraceFileReader Reader(In);
   if (!Reader.valid())
     throw std::runtime_error("'" + Path + "' is not a trace file");
+  // An SCT2 file the mapping rejected is malformed; only SCT1 streams.
+  if (Reader.version() != 1)
+    throw std::runtime_error(MapError);
   const ControlStats &Stats =
       runTrace(Controller, Reader, Observer, BatchEvents, Metrics);
-  if (Reader.failed())
-    throw std::runtime_error("trace '" + Path + "': " + Reader.error());
   if (Reader.truncated())
     throw std::runtime_error("trace '" + Path + "' is truncated");
   return Stats;

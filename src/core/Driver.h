@@ -29,8 +29,6 @@
 #include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
 
-#include <functional>
-#include <utility>
 
 namespace specctrl {
 namespace core {
@@ -53,25 +51,6 @@ public:
   /// override it.
   virtual void onBatch(std::span<const workload::BranchEvent> Events,
                        std::span<const BranchVerdict> Verdicts);
-};
-
-/// The legacy hook form; kept for lambda-style call sites.
-using TraceHook =
-    std::function<void(const workload::BranchEvent &, const BranchVerdict &)>;
-
-/// Adapts a TraceHook lambda to the observer interface.
-class LambdaTraceObserver final : public TraceObserver {
-public:
-  explicit LambdaTraceObserver(TraceHook Hook) : Hook(std::move(Hook)) {}
-  LambdaTraceObserver(const LambdaTraceObserver &) = delete;
-  LambdaTraceObserver &operator=(const LambdaTraceObserver &) = delete;
-  void onEvent(const workload::BranchEvent &Event,
-               const BranchVerdict &Verdict) override {
-    Hook(Event, Verdict);
-  }
-
-private:
-  TraceHook Hook;
 };
 
 /// An observer that accumulates a whole-run branch profile (the common
@@ -114,12 +93,6 @@ runTrace(SpeculationController &Controller, workload::EventSource &Source,
          size_t BatchEvents = workload::DefaultBatchEvents,
          TraceRunMetrics *Metrics = nullptr);
 
-/// Legacy lambda form (adapts \p Hook to a TraceObserver).
-const ControlStats &
-runTrace(SpeculationController &Controller, workload::EventSource &Source,
-         const TraceHook &Hook,
-         size_t BatchEvents = workload::DefaultBatchEvents);
-
 /// Convenience: build the generator for (Spec, Input) and run it.
 const ControlStats &
 runWorkload(SpeculationController &Controller,
@@ -128,13 +101,6 @@ runWorkload(SpeculationController &Controller,
             TraceObserver *Observer = nullptr,
             size_t BatchEvents = workload::DefaultBatchEvents,
             TraceRunMetrics *Metrics = nullptr);
-
-/// Legacy lambda form.
-const ControlStats &
-runWorkload(SpeculationController &Controller,
-            const workload::WorkloadSpec &Spec,
-            const workload::InputConfig &Input, const TraceHook &Hook,
-            size_t BatchEvents = workload::DefaultBatchEvents);
 
 /// Arena-backed form: replays (Spec, Input) out of \p Arena, which
 /// materializes the trace on first use and shares it across every
@@ -150,14 +116,13 @@ runWorkload(SpeculationController &Controller,
             TraceRunMetrics *Metrics = nullptr);
 
 /// File-backed form: replays the recorded trace at \p Path under
-/// \p Controller.  v2 files go through the zero-copy mmap store when it
-/// is enabled (SPECCTRL_TRACE_MMAP, default on) -- blocks decode in place
+/// \p Controller.  SCT2 files are mapped through workload::MmapTraceStore
+/// and replayed by a workload::ArenaReplaySource -- blocks decode in place
 /// from a read-only mapping shared with every other process replaying the
-/// file, so resident memory stays bounded at any trace length; otherwise
-/// (and for v1 files) the trace streams through TraceFileReader.  The
-/// event stream, and therefore the resulting stats, is bit-identical
-/// either way.  Throws std::runtime_error when the file cannot be opened
-/// or fails validation mid-replay.
+/// file, so resident memory stays bounded at any trace length.  Only files
+/// that cannot be mapped (SCT1) stream through workload::TraceFileReader.
+/// Throws std::runtime_error when the file cannot be opened, is not a
+/// trace, or fails validation (at open or mid-replay).
 const ControlStats &
 runTraceFile(SpeculationController &Controller, const std::string &Path,
              TraceObserver *Observer = nullptr,

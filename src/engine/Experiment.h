@@ -131,7 +131,7 @@ public:
   /// its (benchmark, input) trace out of one shared materialization
   /// instead of re-synthesizing it (identical stream, so identical
   /// results; see workload::TraceArena).  Null (the default) re-generates
-  /// per cell.  Shared_ptr so one arena -- and its disk tier -- can back
+  /// per cell.  Shared_ptr so one arena -- and its cache directory -- can back
   /// several plans.
   void setTraceArena(std::shared_ptr<workload::TraceArena> Arena) {
     this->Arena = std::move(Arena);

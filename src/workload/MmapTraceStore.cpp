@@ -6,410 +6,37 @@
 
 #include "workload/MmapTraceStore.h"
 
-#include "support/Hash.h"
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
-
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace specctrl;
 using namespace specctrl::workload;
 
 namespace {
 
-uint32_t loadU32(const uint8_t *P) {
-  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-         (static_cast<uint32_t>(P[2]) << 16) |
-         (static_cast<uint32_t>(P[3]) << 24);
-}
-
-uint64_t loadU64(const uint8_t *P) {
-  return static_cast<uint64_t>(loadU32(P)) |
-         (static_cast<uint64_t>(loadU32(P + 4)) << 32);
-}
-
-/// RAII over the raw map so every early-return path in open() unmaps.
-struct ScopedMap {
-  const uint8_t *Base = nullptr;
-  size_t Len = 0;
-  ~ScopedMap() {
-    if (Base)
-      ::munmap(const_cast<uint8_t *>(Base),
-               Len); // NOLINT(cppcoreguidelines-pro-type-const-cast)
-  }
-  const uint8_t *release() {
-    const uint8_t *B = Base;
-    Base = nullptr;
-    return B;
-  }
-};
-
-std::string errnoMessage(const char *What, const std::string &Path) {
-  return std::string(What) + " '" + Path + "': " + std::strerror(errno);
+/// Registry key: the canonical path, so aliases of one file share a
+/// mapping.
+std::string keyOf(const std::string &Path) {
+  std::error_code EC;
+  std::string Key = std::filesystem::weakly_canonical(Path, EC).string();
+  return EC || Key.empty() ? Path : Key;
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// MappedTrace
-//===----------------------------------------------------------------------===//
-
-MappedTrace::~MappedTrace() {
-  if (Base)
-    ::munmap(const_cast<uint8_t *>(Base),
-             Len); // NOLINT(cppcoreguidelines-pro-type-const-cast)
-}
-
-void MappedTrace::advise(uint64_t Begin, uint64_t End, int Advice) const {
-#ifdef MADV_WILLNEED
-  const uint64_t Page = static_cast<uint64_t>(PageSize);
-  // Round the range out to page boundaries for WILLNEED (over-advising is
-  // harmless) but *in* for DONTNEED (never drop a page the range does not
-  // fully cover -- it may hold a neighboring block another cursor needs).
-  uint64_t B = Begin, E = std::min<uint64_t>(End, Len);
-  if (Advice == MADV_DONTNEED) {
-    B = (B + Page - 1) / Page * Page;
-    E = E / Page * Page;
-  } else {
-    B = B / Page * Page;
-    E = (E + Page - 1) / Page * Page;
-    E = std::min<uint64_t>(E, (Len + Page - 1) / Page * Page);
-  }
-  if (B >= E)
-    return;
-  // Advice is best-effort by definition; errors are deliberately ignored.
-  ::madvise(const_cast<uint8_t *>(Base) + B, // NOLINT
-            static_cast<size_t>(E - B), Advice);
-#else
-  (void)Begin;
-  (void)End;
-  (void)Advice;
-#endif
-}
-
-bool MappedTrace::fullyVerified() const {
-  for (size_t B = 0; B < Blocks.size(); ++B)
-    if (!isVerified(B))
-      return false;
-  return true;
-}
-
-bool MappedTrace::verifyAllBlocks() const {
-  std::vector<BranchEvent> Scratch;
-  uint64_t Index = 0;
-  uint64_t Inst = 0;
-  uint64_t DroppedBelow = 0;
-  for (size_t B = 0; B < Blocks.size(); ++B) {
-    const BlockRef &Ref = Blocks[B];
-    if (isVerified(B)) {
-      // Still advance the reconstruction counters past verified blocks so
-      // a later unverified block decodes with the right Index/InstRet.
-      Scratch.resize(Ref.Events);
-      decodeTraceBlockPayloadTrusted(Base + Ref.PayloadOffset,
-                                     Ref.PayloadBytes, Ref.Events, Index,
-                                     Inst, Scratch.data());
-      continue;
-    }
-    if (hash64(Base + Ref.PayloadOffset, Ref.PayloadBytes) != Ref.Checksum)
-      return false;
-    Scratch.resize(Ref.Events);
-    if (!decodeTraceBlockPayload(Base + Ref.PayloadOffset, Ref.PayloadBytes,
-                                 Ref.Events, NumSites, Index, Inst,
-                                 Scratch.data()))
-      return false;
-    setVerified(B);
-#ifdef MADV_DONTNEED
-    // Keep the scan's footprint bounded: drop the pages it has passed.
-    const uint64_t Done = Ref.PayloadOffset - TraceV2FrameBytes;
-    if (Done - DroppedBelow >= (1u << 22)) {
-      advise(DroppedBelow, Done, MADV_DONTNEED);
-      DroppedBelow = Done;
-    }
-#endif
-  }
-#ifdef MADV_DONTNEED
-  advise(DroppedBelow, Len, MADV_DONTNEED);
-#endif
-  return true;
-}
-
-std::shared_ptr<const MappedTrace>
-MappedTrace::open(const std::string &Path, std::string *Error) {
-  auto Fail = [&](const std::string &Message) {
-    if (Error)
-      *Error = Message;
-    return std::shared_ptr<const MappedTrace>();
-  };
-
-  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
-    return Fail(errnoMessage("cannot open", Path));
-  struct stat St{};
-  if (::fstat(Fd, &St) != 0) {
-    const std::string Message = errnoMessage("cannot stat", Path);
-    ::close(Fd);
-    return Fail(Message);
-  }
-  const size_t Len = static_cast<size_t>(St.st_size);
-  if (Len < TraceV2HeaderBytes) {
-    ::close(Fd);
-    return Fail("'" + Path + "': too small for an SCT2 header");
-  }
-  ScopedMap Map;
-  Map.Base = static_cast<const uint8_t *>(
-      ::mmap(nullptr, Len, PROT_READ, MAP_SHARED, Fd, 0));
-  ::close(Fd); // the mapping keeps its own reference
-  if (Map.Base == MAP_FAILED) {
-    Map.Base = nullptr;
-    return Fail(errnoMessage("cannot mmap", Path));
-  }
-  Map.Len = Len;
-
-  const uint8_t *const Image = Map.Base;
-  if (std::memcmp(Image, "SCT2", 4) != 0)
-    return Fail("'" + Path + "': not an SCT2 trace (v1 traces must be "
-                             "migrated before mmap replay)");
-
-  auto Trace = std::shared_ptr<MappedTrace>(new MappedTrace());
-  Trace->Path = Path;
-  Trace->Len = Len;
-  Trace->NumSites = loadU32(Image + 4);
-  Trace->TotalEvents = loadU64(Image + 8);
-  Trace->MinGap = loadU32(Image + 16);
-  Trace->MaxGap = loadU32(Image + 20);
-  const uint32_t BlockEvents = loadU32(Image + 24);
-  if (BlockEvents == 0 || BlockEvents > (1u << 20))
-    return Fail("'" + Path + "': malformed SCT2 header");
-#ifdef _SC_PAGESIZE
-  if (const long P = ::sysconf(_SC_PAGESIZE); P > 0)
-    Trace->PageSize = P;
-#endif
-
-  // Structural index walk: frame bounds, event accounting, pad sentinels.
-  // No payload byte is read (checksums and decode happen per block on
-  // first touch), so indexing a huge trace faults only the frame pages --
-  // and those are dropped again below.
-  Trace->Blocks.reserve(
-      static_cast<size_t>(Trace->TotalEvents / BlockEvents + 1));
-  uint64_t Indexed = 0;
-  uint64_t Pos = TraceV2HeaderBytes;
-  // In the aligned layout every frame header sits on its own page, so the
-  // walk would fault the whole file; dropping behind it every few MB keeps
-  // the open-time peak resident set bounded regardless of trace size.
-  uint64_t Dropped = 0;
-  while (Pos < Len) {
-#ifdef MADV_DONTNEED
-    if (Pos - Dropped >= (1u << 22)) {
-      const uint64_t Page = static_cast<uint64_t>(Trace->PageSize);
-      if (const uint64_t E = Pos / Page * Page; E > Dropped) {
-        ::madvise(const_cast<uint8_t *>(Image) + Dropped, // NOLINT
-                  static_cast<size_t>(E - Dropped), MADV_DONTNEED);
-        Dropped = E;
-      }
-    }
-#endif
-    if (Len - Pos < TraceV2FrameBytes)
-      return Fail("'" + Path + "': truncated SCT2 block frame");
-    BlockRef Ref;
-    Ref.Events = loadU32(Image + Pos);
-    Ref.PayloadBytes = loadU32(Image + Pos + 4);
-    Ref.Checksum = loadU64(Image + Pos + 8);
-    Ref.PayloadOffset = Pos + TraceV2FrameBytes;
-    if (Ref.PayloadBytes > Len - Ref.PayloadOffset)
-      return Fail("'" + Path + "': truncated SCT2 block payload");
-    if (Ref.Events == 0) {
-      // Alignment pad frame: the sentinel is required so a corrupted real
-      // block (event count flipped to zero) is rejected, never skipped.
-      if (Ref.Checksum != TraceV2PadMagic ||
-          Ref.PayloadBytes > TraceV2MaxPadBytes)
-        return Fail("'" + Path + "': malformed SCT2 pad frame");
-      Pos = Ref.PayloadOffset + Ref.PayloadBytes;
-      continue;
-    }
-    if (Ref.Events > BlockEvents ||
-        Ref.Events > Trace->TotalEvents - Indexed)
-      return Fail("'" + Path + "': malformed SCT2 block header");
-    Indexed += Ref.Events;
-    Trace->EncodedBlockBytes += TraceV2FrameBytes + Ref.PayloadBytes;
-    Trace->Blocks.push_back(Ref);
-    Pos = Ref.PayloadOffset + Ref.PayloadBytes;
-  }
-  if (Indexed != Trace->TotalEvents)
-    return Fail("'" + Path + "': SCT2 trace is missing events (truncated)");
-
-  const size_t BitmapBytes = (Trace->Blocks.size() + 7) / 8;
-  Trace->Verified = std::unique_ptr<std::atomic<uint8_t>[]>(
-      new std::atomic<uint8_t>[std::max<size_t>(BitmapBytes, 1)]());
-
-  Trace->Base = Map.release(); // ownership moves to the MappedTrace
-  // Drop the pages the index walk faulted: an opened trace holds only its
-  // index resident until a cursor starts reading.
-#ifdef MADV_DONTNEED
-  Trace->advise(0, Trace->Len, MADV_DONTNEED);
-#endif
-  return Trace;
-}
-
-//===----------------------------------------------------------------------===//
-// MmapReplaySource
-//===----------------------------------------------------------------------===//
-
-MmapReplaySource::MmapReplaySource(std::shared_ptr<const MappedTrace> Trace)
-    : Trace(std::move(Trace)) {}
-
-void MmapReplaySource::reset() {
-  NextBlock = 0;
-  NextIndex = 0;
-  InstRet = 0;
-  Error.clear();
-  Staged.clear();
-  StagedPos = 0;
-  DroppedBelow = 0;
-}
-
-void MmapReplaySource::adviseAround(size_t B) {
-#ifdef MADV_WILLNEED
-  if (PrefetchAheadBlocks == 0)
-    return;
-  const auto &Blocks = Trace->Blocks;
-  // Read ahead: the next few blocks the cursor will decode.
-  const size_t AheadFirst = B + 1;
-  if (AheadFirst < Blocks.size()) {
-    const size_t AheadLast =
-        std::min(AheadFirst + PrefetchAheadBlocks, Blocks.size()) - 1;
-    Trace->advise(Blocks[AheadFirst].PayloadOffset - TraceV2FrameBytes,
-                  Blocks[AheadLast].PayloadOffset +
-                      Blocks[AheadLast].PayloadBytes,
-                  MADV_WILLNEED);
-  }
-  // Drop behind: pages fully below the retain window are done for this
-  // cursor.  DONTNEED rounds inward, so a page shared with the retained
-  // region survives; another cursor that still needs a dropped page just
-  // refaults it from the page cache or disk.
-  if (B > RetainBehindBlocks) {
-    const uint64_t KeepFrom =
-        Blocks[B - RetainBehindBlocks].PayloadOffset - TraceV2FrameBytes;
-    if (KeepFrom > DroppedBelow) {
-      Trace->advise(DroppedBelow, KeepFrom, MADV_DONTNEED);
-      DroppedBelow = KeepFrom;
-    }
-  }
-#else
-  (void)B;
-#endif
-}
-
-bool MmapReplaySource::decodeBlock(size_t B, BranchEvent *Out) {
-  const MappedTrace::BlockRef &Ref = Trace->Blocks[B];
-  const uint8_t *Payload = Trace->Base + Ref.PayloadOffset;
-  if (Trace->isVerified(B)) {
-    // Already proven well-formed in this process: the validation-free
-    // in-place SWAR decode.
-    decodeTraceBlockPayloadTrusted(Payload, Ref.PayloadBytes, Ref.Events,
-                                   NextIndex, InstRet, Out);
-  } else {
-    // First touch: mapped bytes are untrusted input.  Checksum, then take
-    // the fully checked decoder -- which commits counters only on success,
-    // so a rejected block stages nothing and delivers nothing.
-    if (hash64(Payload, Ref.PayloadBytes) != Ref.Checksum) {
-      Error = "trace block checksum mismatch (corrupt or tampered trace)";
-      return false;
-    }
-    if (!decodeTraceBlockPayload(Payload, Ref.PayloadBytes, Ref.Events,
-                                 Trace->numSites(), NextIndex, InstRet,
-                                 Out)) {
-      Error = "malformed event encoding in trace block";
-      return false;
-    }
-    Trace->setVerified(B);
-  }
-  adviseAround(B);
-  return true;
-}
-
-bool MmapReplaySource::next(BranchEvent &Event) {
-  if (failed())
-    return false;
-  if (StagedPos >= Staged.size()) {
-    if (NextBlock >= Trace->Blocks.size())
-      return false;
-    Staged.resize(Trace->Blocks[NextBlock].Events);
-    StagedPos = 0;
-    if (!decodeBlock(NextBlock, Staged.data())) {
-      Staged.clear();
-      return false;
-    }
-    ++NextBlock;
-  }
-  Event = Staged[StagedPos++];
-  return true;
-}
-
-size_t MmapReplaySource::nextBatch(std::span<BranchEvent> Buffer) {
-  if (failed())
-    return 0;
-  size_t Filled = 0;
-  while (Filled < Buffer.size()) {
-    // Drain any partially-consumed staged block first.
-    if (StagedPos < Staged.size()) {
-      const size_t Take =
-          std::min(Buffer.size() - Filled, Staged.size() - StagedPos);
-      std::memcpy(Buffer.data() + Filled, Staged.data() + StagedPos,
-                  Take * sizeof(BranchEvent));
-      StagedPos += Take;
-      Filled += Take;
-      continue;
-    }
-    if (NextBlock >= Trace->Blocks.size())
-      break;
-    const uint32_t BlockN = Trace->Blocks[NextBlock].Events;
-    if (Buffer.size() - Filled >= BlockN) {
-      // Zero-copy fast path: decode the whole block from the mapping
-      // straight into the caller's buffer.
-      if (!decodeBlock(NextBlock, Buffer.data() + Filled))
-        break;
-      Filled += BlockN;
-    } else {
-      Staged.resize(BlockN);
-      StagedPos = 0;
-      if (!decodeBlock(NextBlock, Staged.data())) {
-        Staged.clear();
-        break;
-      }
-    }
-    ++NextBlock;
-  }
-  return Filled;
-}
-
-//===----------------------------------------------------------------------===//
-// MmapTraceStore
-//===----------------------------------------------------------------------===//
 
 MmapTraceStore &MmapTraceStore::global() {
   static MmapTraceStore Store;
   return Store;
 }
 
-std::shared_ptr<const MappedTrace>
+std::shared_ptr<const MaterializedTrace>
 MmapTraceStore::open(const std::string &Path, std::string *Error) {
-  // Key by canonical path so aliases of the same file share one mapping.
-  std::error_code EC;
-  std::string Key = std::filesystem::weakly_canonical(Path, EC).string();
-  if (EC || Key.empty())
-    Key = Path;
-
+  const std::string Key = keyOf(Path);
   std::lock_guard<std::mutex> Lock(Mutex);
   ++Stats.Opens;
   if (auto Existing = Entries[Key].lock())
     return Existing;
-  std::shared_ptr<const MappedTrace> Trace = MappedTrace::open(Path, Error);
+  std::shared_ptr<const MaterializedTrace> Trace =
+      MaterializedTrace::map(Path, Error);
   if (!Trace) {
     ++Stats.Failures;
     return nullptr;
@@ -420,19 +47,16 @@ MmapTraceStore::open(const std::string &Path, std::string *Error) {
   return Trace;
 }
 
-std::unique_ptr<MmapReplaySource>
+std::unique_ptr<ArenaReplaySource>
 MmapTraceStore::openCursor(const std::string &Path, std::string *Error) {
-  std::shared_ptr<const MappedTrace> Trace = open(Path, Error);
+  std::shared_ptr<const MaterializedTrace> Trace = open(Path, Error);
   if (!Trace)
     return nullptr;
-  return std::make_unique<MmapReplaySource>(std::move(Trace));
+  return std::make_unique<ArenaReplaySource>(std::move(Trace));
 }
 
 void MmapTraceStore::invalidate(const std::string &Path) {
-  std::error_code EC;
-  std::string Key = std::filesystem::weakly_canonical(Path, EC).string();
-  if (EC || Key.empty())
-    Key = Path;
+  const std::string Key = keyOf(Path);
   std::lock_guard<std::mutex> Lock(Mutex);
   Entries.erase(Key);
 }

@@ -5,188 +5,39 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The zero-copy, cross-process tier of the trace store: SCT2 files are
-/// opened read-only via mmap and decoded block by block *in place* from
-/// the mapping.  Nothing of the trace is ever resident beyond the decode
-/// buffers and the kernel's page cache -- which is shared across every
-/// process replaying the same file, so a multi-process sweep pays the
-/// trace's I/O once, not once per worker.  This is what lifts run lengths
-/// to the paper's scale: a billion-event replay touches gigabytes of
-/// trace through a window of a few hundred kilobytes of resident memory.
+/// The path-keyed registry of mapped SCT2 trace files.  A mapped trace is
+/// the same MaterializedTrace image the trace arena builds in memory (see
+/// workload/TraceArena.h), backed by a read-only mapping of the file, and
+/// it replays through the same ArenaReplaySource cursor: blocks decode
+/// *in place* from the mapping, each verified (checksum + checked decode)
+/// on its first touch in the process, with a block-granular madvise
+/// window keeping the resident set bounded.  Nothing of the trace is
+/// resident beyond the decode buffers and the kernel's page cache --
+/// which is shared across every process replaying the same file, so a
+/// multi-process sweep pays the trace's I/O once, not once per worker.
 ///
-/// Layering:
-///  * MappedTrace -- one immutable read-only mapping of an SCT2 file plus
-///    a block index built at open time from a structural walk (frame
-///    bounds, event accounting, pad-frame sentinels; no checksum work).
-///    After indexing, the faulted pages are dropped again (MADV_DONTNEED)
-///    so opening a huge trace leaves only the index resident.
-///  * First-touch verification -- mapped bytes are untrusted input.  The
-///    first cursor to decode a block (per process) checksums it and takes
-///    the fully *checked* decoder; success flips the block's bit in a
-///    shared atomic bitmap, after which every decode of that block takes
-///    the validation-free SWAR path.  A corrupt block is rejected whole:
-///    no event of a bad block is ever delivered (same contract as
-///    TraceFileReader, pinned by the fuzz tests).
-///  * MmapReplaySource -- an EventSource cursor bit-identical to
-///    TraceFileReader/ArenaReplaySource over the same file, with
-///    block-granular madvise: WILLNEED a small window ahead of the read
-///    position, DONTNEED the pages the cursor has fully passed, keeping
-///    resident set bounded regardless of trace size.
-///  * MmapTraceStore -- the process-wide path-keyed registry, so any
-///    number of cursors (and sweep cells) share one mapping per file.
+/// The registry lets every consumer of the same file in a process share
+/// one mapping (and one verification bitmap).
 ///
 /// Files in the page-aligned layout (TraceWriterV2 with AlignBytes, or
-/// `specctrl-trace --migrate`) start every block frame on a page boundary,
-/// making the madvise window exact; packed legacy files work identically
-/// with page-rounded advice.
+/// `specctrl-trace --migrate --align`) start every block frame on a page
+/// boundary, making the madvise window exact; packed files work
+/// identically with page-rounded advice.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECCTRL_WORKLOAD_MMAPTRACESTORE_H
 #define SPECCTRL_WORKLOAD_MMAPTRACESTORE_H
 
-#include "workload/TraceFile.h"
+#include "workload/TraceArena.h"
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace specctrl {
 namespace workload {
-
-/// One immutable read-only mapping of an SCT2 trace file with its block
-/// index.  Shared (shared_ptr) by all cursors; the mapping lives until the
-/// last cursor drops it.  Open never reads payloads -- verification is
-/// per-block on first touch.
-class MappedTrace {
-public:
-  /// Maps \p Path and builds the block index.  Returns nullptr on any
-  /// structural problem (bad magic/header, truncated or misframed blocks,
-  /// malformed pads), with the reason in \p Error when non-null.
-  static std::shared_ptr<const MappedTrace> open(const std::string &Path,
-                                                 std::string *Error = nullptr);
-
-  ~MappedTrace();
-  MappedTrace(const MappedTrace &) = delete;
-  MappedTrace &operator=(const MappedTrace &) = delete;
-
-  const std::string &path() const { return Path; }
-  uint32_t numSites() const { return NumSites; }
-  uint64_t totalEvents() const { return TotalEvents; }
-  uint32_t minGap() const { return MinGap; }
-  uint32_t maxGap() const { return MaxGap; }
-  /// Mapped file size (header + blocks + pads).
-  size_t bytes() const { return Len; }
-  size_t numBlocks() const { return Blocks.size(); }
-  /// Block framing + payload bytes; bytes() minus this minus the header
-  /// is pure alignment padding.
-  uint64_t encodedBlockBytes() const { return EncodedBlockBytes; }
-  /// True once every block has passed first-touch verification in this
-  /// process (replays after the first run entirely on the SWAR path).
-  bool fullyVerified() const;
-
-  /// Verifies every not-yet-verified block up front (checksum + fully
-  /// checked decode into a scratch buffer), setting the shared bitmap so
-  /// replay runs entirely on the trusted SWAR path.  Resident cost is one
-  /// block buffer; the pages the scan faults are dropped as it advances.
-  /// Returns false on the first rejected block -- the caller (the trace
-  /// arena's disk tier) regenerates the file rather than serving a stream
-  /// that would fail mid-replay.
-  bool verifyAllBlocks() const;
-
-private:
-  friend class MmapReplaySource;
-
-  MappedTrace() = default;
-
-  struct BlockRef {
-    uint32_t Events = 0;       ///< events in this block
-    uint32_t PayloadBytes = 0; ///< encoded payload size
-    uint64_t PayloadOffset = 0; ///< payload start within the mapping
-    uint64_t Checksum = 0;      ///< frame's XXH64, verified on first touch
-  };
-
-  bool isVerified(size_t B) const {
-    return Verified[B >> 3].load(std::memory_order_acquire) &
-           (1u << (B & 7));
-  }
-  void setVerified(size_t B) const {
-    Verified[B >> 3].fetch_or(static_cast<uint8_t>(1u << (B & 7)),
-                              std::memory_order_release);
-  }
-
-  /// Page-rounded madvise over mapped byte range [Begin, End).
-  void advise(uint64_t Begin, uint64_t End, int Advice) const;
-
-  std::string Path;
-  const uint8_t *Base = nullptr;
-  size_t Len = 0;
-  std::vector<BlockRef> Blocks;
-  /// Shared first-touch verification bitmap (one bit per block).  Mutable
-  /// state of an immutable trace: it only ever transitions unverified ->
-  /// verified, and a redundant re-verification is harmless, so relaxed
-  /// racing between cursors needs no stronger coordination.
-  std::unique_ptr<std::atomic<uint8_t>[]> Verified;
-  uint32_t NumSites = 0;
-  uint64_t TotalEvents = 0;
-  uint32_t MinGap = 0;
-  uint32_t MaxGap = 0;
-  uint64_t EncodedBlockBytes = 0; ///< framing + payload (pads excluded)
-  long PageSize = 4096;
-};
-
-/// A replay cursor over one mapped trace: an EventSource whose stream is
-/// bit-identical to TraceFileReader over the same file.  Cursors are
-/// independent; any number replay the same mapping concurrently (in this
-/// process or others).  On corruption the cursor fails like the file
-/// reader: failed()/error() report it and no event of the bad block is
-/// delivered.
-class MmapReplaySource final : public EventSource {
-public:
-  explicit MmapReplaySource(std::shared_ptr<const MappedTrace> Trace);
-
-  bool next(BranchEvent &Event) override;
-  size_t nextBatch(std::span<BranchEvent> Buffer) override;
-
-  /// Restarts the stream from the beginning (clears any failure).
-  void reset();
-
-  /// True if a block was rejected (checksum mismatch or malformed
-  /// encoding); error() carries the message.
-  bool failed() const { return !Error.empty(); }
-  const std::string &error() const { return Error; }
-
-  const MappedTrace &trace() const { return *Trace; }
-
-  /// Blocks of WILLNEED read-ahead issued ahead of the cursor (0 disables
-  /// advice entirely, including the DONTNEED drop-behind).
-  static constexpr size_t PrefetchAheadBlocks = 8;
-  /// Blocks kept mapped behind the cursor before DONTNEED drops them.
-  static constexpr size_t RetainBehindBlocks = 2;
-
-private:
-  /// Decodes block \p B into \p Out (capacity >= its event count),
-  /// verifying it first if this is the process's first touch.  Returns
-  /// false (and fails the cursor) on rejection.
-  bool decodeBlock(size_t B, BranchEvent *Out);
-  /// Issues the madvise window around the cursor at block \p B.
-  void adviseAround(size_t B);
-
-  std::shared_ptr<const MappedTrace> Trace;
-  size_t NextBlock = 0;
-  uint64_t NextIndex = 0;
-  uint64_t InstRet = 0;
-  std::string Error;
-  /// Partial-consumption staging: filled when the caller's buffer cannot
-  /// hold the next whole block.
-  std::vector<BranchEvent> Staged;
-  size_t StagedPos = 0;
-  /// High-water mark of pages already dropped behind the cursor.
-  uint64_t DroppedBelow = 0;
-};
 
 /// Store accounting (snapshot via MmapTraceStore::stats()).
 struct MmapTraceStoreStats {
@@ -196,10 +47,8 @@ struct MmapTraceStoreStats {
   uint64_t Failures = 0;    ///< open attempts rejected
 };
 
-/// Process-wide path-keyed registry of MappedTrace mappings, so every
-/// consumer of the same file shares one mapping (and one verification
-/// bitmap).  Entries are weak: a mapping unmaps when its last cursor
-/// drops, and a later open remaps it.
+/// Process-wide path-keyed registry of mapped traces.  Entries are weak: a
+/// mapping unmaps when its last cursor drops, and a later open remaps it.
 class MmapTraceStore {
 public:
   /// The process-wide instance.
@@ -211,12 +60,12 @@ public:
 
   /// The shared mapping for \p Path, mapping it on first use.  Returns
   /// nullptr (reason in \p Error) on structural rejection.
-  std::shared_ptr<const MappedTrace> open(const std::string &Path,
-                                          std::string *Error = nullptr);
+  std::shared_ptr<const MaterializedTrace>
+  open(const std::string &Path, std::string *Error = nullptr);
 
   /// Convenience: a replay cursor over open(Path).
-  std::unique_ptr<MmapReplaySource> openCursor(const std::string &Path,
-                                               std::string *Error = nullptr);
+  std::unique_ptr<ArenaReplaySource>
+  openCursor(const std::string &Path, std::string *Error = nullptr);
 
   /// Drops the registry entry for \p Path so the next open remaps the
   /// file (used after rewriting a corrupt cache file in place: live
@@ -227,7 +76,8 @@ public:
 
 private:
   mutable std::mutex Mutex;
-  std::unordered_map<std::string, std::weak_ptr<const MappedTrace>> Entries;
+  std::unordered_map<std::string, std::weak_ptr<const MaterializedTrace>>
+      Entries;
   mutable MmapTraceStoreStats Stats; ///< guarded by Mutex
 };
 

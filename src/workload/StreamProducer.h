@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Producer-side adapters that feed any EventSource (TraceGenerator,
-/// ArenaReplaySource, file replay) into an SpscRing -- the client half of
+/// ArenaReplaySource over an owned or mapped MaterializedTrace,
+/// TraceFileReader) into an SpscRing -- the client half of
 /// the streaming control-plane service.  Two pieces:
 ///
 ///  * SkipSource wraps a source and discards its first N events, which is

@@ -29,21 +29,24 @@
 ///    instead, so callers never need a non-arena code path for
 ///    correctness.
 ///
-/// An optional disk tier (Config::CacheDir) persists materializations as
-/// ordinary v2 trace files, so repeated tool invocations amortize the same
-/// way sweep cells do.  Cached files are fully checksum-verified on load
-/// and regenerated on any mismatch.
+/// One SCT2 image type and one cursor serve every replay:
+///  * MaterializedTrace -- the SCT2 image: header facts, a block index
+///    built by one structural walk, and a shared first-touch verification
+///    bitmap.  It is backed either by owned bytes (written by
+///    TraceWriterV2 here; every block verified when built) or by a
+///    read-only mapping of a file (workload/MmapTraceStore.h; each block
+///    checksummed and check-decoded on its first touch, or all at once by
+///    verifyAllBlocks()).
+///  * ArenaReplaySource -- the cursor: whole-block decode into the
+///    caller's buffer, first-touch verification with failed()/error(),
+///    and, for mapped images only, a block-granular madvise window.
 ///
-/// When the disk tier is active (and SPECCTRL_TRACE_MMAP has not disabled
-/// it), open() serves cache hits through the zero-copy mmap store
-/// (workload/MmapTraceStore.h) instead of reloading the file into memory:
-/// cursors decode blocks in place from a read-only mapping the kernel
-/// shares across every process replaying the same file, and cache misses
-/// stream-generate straight to a page-aligned file and map it -- the trace
-/// is never resident at all.  The mapped file is fully verified (checksums
-/// + checked decode, bounded by one block buffer) before it is served, so
-/// the corrupt-cache-regenerates guarantee is unchanged.  materialize()
-/// keeps the resident image semantics for callers that need the bytes.
+/// Without Config::CacheDir the arena materializes owned bytes.  With one
+/// it maps the key's cache file instead: a hit is fully verified before it
+/// is served, and a miss (or a stale or corrupt file) stream-generates a
+/// page-aligned file, renames it into place and maps it -- so the trace is
+/// never resident beyond the kernel's page cache, which every process
+/// replaying the same file shares.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,65 +65,130 @@
 namespace specctrl {
 namespace workload {
 
-class MappedTrace;
-
 /// Arena accounting (snapshot via TraceArena::stats()).
 struct TraceArenaStats {
-  uint64_t Materializations = 0; ///< traces generated from the model
-  uint64_t DiskLoads = 0;        ///< traces loaded resident from disk
-  uint64_t DiskStores = 0;       ///< traces written to the disk tier
+  uint64_t Materializations = 0; ///< traces generated into owned bytes
   uint64_t CursorOpens = 0;      ///< replay cursors handed out
   uint64_t Fallbacks = 0;        ///< opens served by a private generator
-  uint64_t ResidentEvents = 0;   ///< events materialized in memory
-  uint64_t ResidentBytes = 0;    ///< encoded bytes resident in memory
-  uint64_t MmapLoads = 0;        ///< keys served zero-copy from a cache hit
-  uint64_t MmapStores = 0;       ///< keys stream-generated to disk for mmap
-  uint64_t MappedBytes = 0;      ///< file bytes served via the mmap tier
+  uint64_t ResidentEvents = 0;   ///< events of owned images
+  uint64_t ResidentBytes = 0;    ///< encoded bytes of owned images
+  uint64_t MmapLoads = 0;        ///< keys served from a verified cache hit
+  uint64_t MmapStores = 0;       ///< keys stream-generated to disk and mapped
+  uint64_t MappedBytes = 0;      ///< file bytes of mapped images
   /// materialize() calls that found their key cold and waited on another
   /// thread's materialization of it instead of running their own.
   uint64_t BlockedOpens = 0;
   double BlockedSeconds = 0.0; ///< total wait of the BlockedOpens
 };
 
-/// One immutable materialized trace: the full SCT2 file image plus a block
-/// index for sequential zero-copy decode.  Blocks were checksum-verified
-/// and fully decoded once at materialization time, so cursors skip both.
+/// One immutable SCT2 image with its block index, shared (shared_ptr) by
+/// every cursor replaying it.
 class MaterializedTrace {
 public:
-  uint32_t numSites() const { return NumSites; }
-  uint64_t totalEvents() const { return TotalEvents; }
-  uint32_t minGap() const { return MinGap; }
-  uint32_t maxGap() const { return MaxGap; }
-  /// Encoded size (header + blocks).
-  size_t bytes() const { return Image.size(); }
+  /// Maps \p Path read-only and indexes it.  No payload is verified here
+  /// (blocks are verified on first touch), but framing is: returns
+  /// nullptr, with the reason in \p Error when non-null, on any
+  /// structural problem (bad magic or header, truncated or misframed
+  /// blocks, malformed pads).  The pages the walk faulted are dropped
+  /// again, so an opened trace holds only its index resident.
+  static std::shared_ptr<const MaterializedTrace>
+  map(const std::string &Path, std::string *Error = nullptr);
+
+  ~MaterializedTrace();
+  MaterializedTrace(const MaterializedTrace &) = delete;
+  MaterializedTrace &operator=(const MaterializedTrace &) = delete;
+
+  uint32_t numSites() const { return Header.NumSites; }
+  uint64_t totalEvents() const { return Header.TotalEvents; }
+  uint32_t minGap() const { return Header.MinGap; }
+  uint32_t maxGap() const { return Header.MaxGap; }
+  /// Image size (header + blocks + pads).
+  size_t bytes() const { return Len; }
   size_t numBlocks() const { return Blocks.size(); }
+  /// Block framing + payload bytes; bytes() minus this minus the header
+  /// is pure alignment padding.
+  uint64_t encodedBlockBytes() const { return EncodedBlockBytes; }
   /// Compression achieved vs the 4 B/event v1 encoding.
   double compressionVsV1() const;
+  /// True for a file mapping, false for owned bytes.
+  bool mapped() const { return Mapped; }
+  /// True once every block has passed verification in this process
+  /// (replays after that run entirely on the trusted SWAR path).
+  bool fullyVerified() const;
+
+  /// Verifies every not-yet-verified block up front (checksum + fully
+  /// checked decode into a scratch buffer), so replay runs entirely on
+  /// the trusted path.  Resident cost is one block buffer; a mapped scan
+  /// drops the pages it has passed.  Returns false on the first rejected
+  /// block -- the trace arena then regenerates its cache file rather than
+  /// serve a stream that would fail mid-replay.
+  bool verifyAllBlocks() const;
 
 private:
-  friend class TraceArena;
   friend class ArenaReplaySource;
+  friend class TraceArena;
+
+  MaterializedTrace() = default;
+
+  /// Indexes an image TraceWriterV2 just produced and takes ownership of
+  /// it; every block counts as verified.  Returns nullptr if the image
+  /// does not index.
+  static std::shared_ptr<const MaterializedTrace>
+  adopt(std::vector<uint8_t> Image);
 
   struct BlockRef {
-    uint32_t Events = 0;       ///< events in this block
-    uint32_t PayloadBytes = 0; ///< encoded payload size
-    size_t PayloadOffset = 0;  ///< payload start within Image
+    uint32_t Events = 0;        ///< events in this block
+    uint32_t PayloadBytes = 0;  ///< encoded payload size
+    uint64_t PayloadOffset = 0; ///< payload start within the image
+    uint64_t Checksum = 0;      ///< frame's XXH64, verified on first touch
   };
 
-  std::vector<uint8_t> Image; ///< full SCT2 file image
+  /// The structural index walk over [Base, Base + Len): header, then every
+  /// frame through checkTraceV2Frame.  Returns false with the reason in
+  /// \p Error.
+  bool index(std::string &Error);
+
+  bool isVerified(size_t B) const {
+    return Verified[B >> 3].load(std::memory_order_acquire) &
+           (1u << (B & 7));
+  }
+  void setVerified(size_t B) const {
+    Verified[B >> 3].fetch_or(static_cast<uint8_t>(1u << (B & 7)),
+                              std::memory_order_release);
+  }
+  /// Checksums and check-decodes block \p B into \p Out, advancing the
+  /// reconstruction counters; returns the reason for a rejection, or
+  /// nullptr (and marks the block verified).
+  const char *verifyBlock(size_t B, uint64_t &NextIndex, uint64_t &InstRet,
+                          BranchEvent *Out) const;
+
+  /// Page-rounded madvise over image byte range [Begin, End); a no-op for
+  /// owned images.
+  void advise(uint64_t Begin, uint64_t End, int Advice) const;
+
+  std::vector<uint8_t> Owned; ///< the image, when not mapped
+  const uint8_t *Base = nullptr;
+  size_t Len = 0;
+  bool Mapped = false;
   std::vector<BlockRef> Blocks;
-  uint32_t NumSites = 0;
-  uint64_t TotalEvents = 0;
-  uint32_t MinGap = 0;
-  uint32_t MaxGap = 0;
-  uint64_t EncodedBlockBytes = 0; ///< framing + payload (header excluded)
+  /// Shared verification bitmap (one bit per block).  Mutable state of an
+  /// immutable trace: it only ever transitions unverified -> verified, and
+  /// a redundant re-verification is harmless, so racing cursors need no
+  /// stronger coordination.
+  std::unique_ptr<std::atomic<uint8_t>[]> Verified;
+  TraceV2Header Header;
+  uint64_t EncodedBlockBytes = 0; ///< framing + payload (pads excluded)
+  long PageSize = 4096;
 };
 
-/// A replay cursor over one materialized trace: an EventSource whose
-/// stream is bit-identical to the generator's.  Cursors are independent
-/// (each holds only its own decode position), so any number can replay the
-/// same trace concurrently; whole blocks are decoded directly into the
-/// caller's batch buffer whenever it has room for them.
+/// A replay cursor over one MaterializedTrace: an EventSource whose stream
+/// is bit-identical to the generator's (for an arena key) and to
+/// TraceFileReader over the same file.  Cursors are independent (each
+/// holds only its own decode position), so any number can replay the same
+/// image concurrently; whole blocks are decoded directly into the caller's
+/// batch buffer whenever it has room for them.  On corruption the cursor
+/// fails like the file reader: failed()/error() report it and no event of
+/// the bad block is delivered.
 class ArenaReplaySource final : public EventSource {
 public:
   explicit ArenaReplaySource(std::shared_ptr<const MaterializedTrace> Trace);
@@ -128,24 +196,40 @@ public:
   bool next(BranchEvent &Event) override;
   size_t nextBatch(std::span<BranchEvent> Buffer) override;
 
-  /// Restarts the stream from the beginning.
+  /// Restarts the stream from the beginning (clears any failure).
   void reset();
+
+  /// True if a block was rejected (checksum mismatch or malformed
+  /// encoding); error() carries the message.
+  bool failed() const { return !Error.empty(); }
+  const std::string &error() const { return Error; }
 
   const MaterializedTrace &trace() const { return *Trace; }
 
+  /// Blocks of WILLNEED read-ahead issued ahead of a mapped cursor.
+  static constexpr size_t PrefetchAheadBlocks = 8;
+  /// Blocks kept mapped behind the cursor before DONTNEED drops them.
+  static constexpr size_t RetainBehindBlocks = 2;
+
 private:
   /// Decodes block \p B into \p Out (capacity >= its event count),
-  /// advancing the Index/InstRet reconstruction counters.
-  void decodeBlock(size_t B, BranchEvent *Out);
+  /// verifying it first on the process's first touch.  Returns false (and
+  /// fails the cursor) on rejection.
+  bool decodeBlock(size_t B, BranchEvent *Out);
+  /// Issues the madvise window around the cursor at block \p B.
+  void adviseAround(size_t B);
 
   std::shared_ptr<const MaterializedTrace> Trace;
   size_t NextBlock = 0;
   uint64_t NextIndex = 0;
   uint64_t InstRet = 0;
+  std::string Error;
   /// Partial-consumption staging: filled when the caller's buffer cannot
   /// hold the next whole block.
   std::vector<BranchEvent> Staged;
   size_t StagedPos = 0;
+  /// High-water mark of pages already dropped behind the cursor.
+  uint64_t DroppedBelow = 0;
 };
 
 /// The materialize-once store.  Keyed by an injective serialization of
@@ -154,18 +238,16 @@ private:
 class TraceArena {
 public:
   struct Config {
-    /// Disk tier directory; empty disables the tier.  Misses fall back to
-    /// reading/writing ordinary v2 trace files named by the key hash.
+    /// Cache directory; empty keeps every trace in owned memory.  With a
+    /// directory, each key is served by mapping its SCT2 cache file
+    /// (named by the key hash), generated there on a miss.
     std::string CacheDir;
     /// Events per SCT2 block (default matches the pipeline chunk size).
     uint32_t BlockEvents = TraceV2BlockEvents;
     /// Log materializations (events, encoded bytes, per-block compression
-    /// ratio, tier) to stderr.  Also enabled by SPECCTRL_ARENA_VERBOSE=1 (RunConfig).
+    /// ratio, backing) to stderr.  Also enabled by SPECCTRL_ARENA_VERBOSE=1
+    /// (RunConfig).
     bool Verbose = false;
-    /// Serve disk-tier opens through the zero-copy mmap store.  Effective
-    /// only with a CacheDir, and also gated by SPECCTRL_TRACE_MMAP
-    /// (RunConfig::TraceMmap) so one env knob disables the tier fleetwide.
-    bool UseMmap = true;
   };
 
   TraceArena();
@@ -195,10 +277,6 @@ private:
     std::atomic<bool> Ready{false};
     std::shared_ptr<const MaterializedTrace> Trace; ///< null = fallback key
   };
-  struct MmapEntry {
-    std::once_flag Once;
-    std::shared_ptr<const MappedTrace> Trace; ///< null = not mmap-servable
-  };
 
   /// Injective byte-string key over every stream-relevant field.
   static std::string keyOf(const WorkloadSpec &Spec,
@@ -207,29 +285,22 @@ private:
   std::shared_ptr<const MaterializedTrace>
   materializeKey(const std::string &Key, const WorkloadSpec &Spec,
                  const InputConfig &Input);
+  /// Generates (Spec, Input) into an owned image; nullptr when the trace
+  /// is beyond the SCT2 limits.
   std::shared_ptr<const MaterializedTrace>
-  loadFromDisk(const std::string &Path);
-  /// The disk-tier cache file path for \p Key (empty without a CacheDir).
+  generateOwned(const WorkloadSpec &Spec, const InputConfig &Input);
+  /// The verified mapping of \p Key's cache file, generating the file on
+  /// a miss or after a rejected hit.  nullptr when the key cannot be
+  /// served from disk (unencodable trace, disk failure).
+  std::shared_ptr<const MaterializedTrace>
+  mapCached(const std::string &Key, const WorkloadSpec &Spec,
+            const InputConfig &Input);
+  /// The cache file path for \p Key.
   std::string cachePathOf(const std::string &Key) const;
-  /// True when opens should try the zero-copy mmap tier.
-  bool mmapEnabled() const;
-  /// The shared mapping for (Spec, Input) -- mapping the cache file on a
-  /// hit, stream-generating an aligned file and mapping it on a miss.
-  /// Returns nullptr when the key cannot be served via mmap (unencodable
-  /// trace, disk failure); the caller falls back to the resident path.
-  std::shared_ptr<const MappedTrace> mapFor(const WorkloadSpec &Spec,
-                                            const InputConfig &Input);
-  std::shared_ptr<const MappedTrace> mapKey(const std::string &Key,
-                                            const WorkloadSpec &Spec,
-                                            const InputConfig &Input);
-  /// Indexes and validates the SCT2 image in Trace->Image (checksums +
-  /// full decode).  Returns false on any inconsistency.
-  static bool indexAndVerify(MaterializedTrace &Trace, bool VerifyPayload);
 
   Config Cfg;
   mutable std::mutex Mutex;
   std::unordered_map<std::string, std::unique_ptr<Entry>> Entries;
-  std::unordered_map<std::string, std::unique_ptr<MmapEntry>> MmapEntries;
   TraceArenaStats Stats; ///< guarded by Mutex
 };
 

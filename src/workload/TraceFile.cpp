@@ -66,7 +66,58 @@ int64_t unzigzag(uint32_t V) {
   return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
 }
 
+uint32_t loadU32(const uint8_t *P) {
+  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
+         (static_cast<uint32_t>(P[2]) << 16) |
+         (static_cast<uint32_t>(P[3]) << 24);
+}
+
+uint64_t loadU64(const uint8_t *P) {
+  return static_cast<uint64_t>(loadU32(P)) |
+         (static_cast<uint64_t>(loadU32(P + 4)) << 32);
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// SCT2 header and frame validation (shared by every reader)
+//===----------------------------------------------------------------------===//
+
+bool workload::parseTraceV2Header(const uint8_t *P, TraceV2Header &Out) {
+  if (!std::equal(P, P + 4, MagicV2))
+    return false;
+  Out.NumSites = loadU32(P + 4);
+  Out.TotalEvents = loadU64(P + 8);
+  Out.MinGap = loadU32(P + 16);
+  Out.MaxGap = loadU32(P + 20);
+  Out.BlockEvents = loadU32(P + 24);
+  return Out.BlockEvents != 0 && Out.BlockEvents <= (1u << 20);
+}
+
+TraceV2Frame workload::readTraceV2Frame(const uint8_t *P) {
+  return {loadU32(P), loadU32(P + 4), loadU64(P + 8)};
+}
+
+const char *workload::checkTraceV2Frame(const TraceV2Header &H,
+                                        uint64_t EventsSoFar,
+                                        const TraceV2Frame &F,
+                                        const uint8_t *PadPayload) {
+  if (F.isPad()) {
+    // A pad must carry the sentinel and an all-zero payload -- a corrupted
+    // real block (event count flipped to zero), or a block corrupted into
+    // a pad, is rejected here, never silently skipped.
+    if (F.Checksum != TraceV2PadMagic || F.PayloadBytes > TraceV2MaxPadBytes ||
+        (PadPayload && std::any_of(PadPayload, PadPayload + F.PayloadBytes,
+                                   [](uint8_t B) { return B != 0; })))
+      return "malformed trace pad frame";
+    return nullptr;
+  }
+  if (F.Events > H.BlockEvents || F.Events > H.TotalEvents - EventsSoFar ||
+      F.PayloadBytes < 2 * static_cast<uint64_t>(F.Events) ||
+      F.PayloadBytes > MaxEventBytes * static_cast<uint64_t>(F.Events))
+    return "malformed trace block header";
+  return nullptr;
+}
 
 //===----------------------------------------------------------------------===//
 // v1 writer
@@ -445,24 +496,20 @@ void workload::decodeTraceBlockPayloadTrustedScalar(
 //===----------------------------------------------------------------------===//
 
 TraceFileReader::TraceFileReader(std::istream &IS) : IS(IS) {
-  char Header[4];
-  if (!IS.read(Header, 4))
+  uint8_t Bytes[TraceV2HeaderBytes];
+  if (!IS.read(reinterpret_cast<char *>(Bytes), 4))
     return;
-  if (std::equal(Header, Header + 4, MagicV1))
+  if (std::equal(Bytes, Bytes + 4, MagicV1)) {
     Version = 1;
-  else if (std::equal(Header, Header + 4, MagicV2))
-    Version = 2;
-  else
+    Valid = getU32(IS, Header.NumSites) && getU64(IS, Header.TotalEvents) &&
+            getU32(IS, Header.MinGap) && getU32(IS, Header.MaxGap);
     return;
-  if (!getU32(IS, NumSites) || !getU64(IS, TotalEvents) ||
-      !getU32(IS, MinGap) || !getU32(IS, MaxGap))
-    return;
-  if (Version == 2) {
-    if (!getU32(IS, BlockEvents) || BlockEvents == 0 ||
-        BlockEvents > (1u << 20))
-      return;
-    Block.reserve(BlockEvents);
   }
+  Version = 2;
+  if (!IS.read(reinterpret_cast<char *>(Bytes) + 4, TraceV2HeaderBytes - 4) ||
+      !parseTraceV2Header(Bytes, Header))
+    return;
+  Block.reserve(Header.BlockEvents);
   Valid = true;
 }
 
@@ -478,63 +525,51 @@ void TraceFileReader::fail(const std::string &Message) {
 bool TraceFileReader::refillBlock() {
   Block.clear();
   BlockPos = 0;
-  if (NextIndex >= TotalEvents)
+  if (NextIndex >= Header.TotalEvents)
     return false;
 
-  uint32_t BlockN = 0, PayloadBytes = 0;
-  uint64_t Checksum = 0;
+  TraceV2Frame F;
   for (;;) {
-    if (!getU32(IS, BlockN)) {
-      Truncated = true; // stream ended between blocks
+    uint8_t Frame[TraceV2FrameBytes];
+    if (!IS.read(reinterpret_cast<char *>(Frame), TraceV2FrameBytes)) {
+      Truncated = true; // stream ended between or inside frame headers
       return false;
     }
-    if (!getU32(IS, PayloadBytes) || !getU64(IS, Checksum)) {
-      Truncated = true;
+    F = readTraceV2Frame(Frame);
+    if (const char *Why = checkTraceV2Frame(Header, NextIndex, F)) {
+      fail(Why);
       return false;
     }
-    if (BlockN != 0) // a zero event count marks an alignment pad frame
+    if (!F.isPad())
       break;
-    // A pad must carry the sentinel and an all-zero payload -- a corrupted
-    // real block (event count flipped to zero) is rejected here, never
-    // silently skipped.
-    if (Checksum != TraceV2PadMagic || PayloadBytes > TraceV2MaxPadBytes) {
-      fail("malformed trace pad frame");
-      return false;
-    }
-    Payload.resize(PayloadBytes);
-    if (!IS.read(reinterpret_cast<char *>(Payload.data()), PayloadBytes)) {
+    Payload.resize(F.PayloadBytes);
+    if (!IS.read(reinterpret_cast<char *>(Payload.data()), F.PayloadBytes)) {
       Truncated = true; // stream ended inside a pad
       return false;
     }
-    if (std::any_of(Payload.begin(), Payload.end(),
-                    [](uint8_t B) { return B != 0; })) {
-      fail("malformed trace pad frame");
+    if (const char *Why =
+            checkTraceV2Frame(Header, NextIndex, F, Payload.data())) {
+      fail(Why);
       return false;
     }
   }
-  if (BlockN > BlockEvents ||
-      BlockN > TotalEvents - NextIndex ||
-      PayloadBytes < 2 * static_cast<uint64_t>(BlockN) ||
-      PayloadBytes > MaxEventBytes * static_cast<uint64_t>(BlockN)) {
-    fail("malformed trace block header");
-    return false;
-  }
 
-  Payload.resize(PayloadBytes);
-  if (!IS.read(reinterpret_cast<char *>(Payload.data()), PayloadBytes)) {
+  Payload.resize(F.PayloadBytes);
+  if (!IS.read(reinterpret_cast<char *>(Payload.data()), F.PayloadBytes)) {
     Truncated = true; // partially-written final block
     return false;
   }
-  if (hash64(Payload.data(), Payload.size()) != Checksum) {
+  if (hash64(Payload.data(), Payload.size()) != F.Checksum) {
     fail("trace block checksum mismatch (corrupt or tampered trace)");
     return false;
   }
 
-  Block.resize(BlockN);
+  Block.resize(F.Events);
   // The shared decoder commits NextIndex/InstRet only on success, so a
   // rejected block leaves the accounting untouched and stages no events.
-  if (!decodeTraceBlockPayload(Payload.data(), Payload.size(), BlockN,
-                               NumSites, NextIndex, InstRet, Block.data())) {
+  if (!decodeTraceBlockPayload(Payload.data(), Payload.size(), F.Events,
+                               Header.NumSites, NextIndex, InstRet,
+                               Block.data())) {
     fail("malformed event encoding in trace block");
     return false;
   }
@@ -552,7 +587,7 @@ bool TraceFileReader::next(BranchEvent &Event) {
     return true;
   }
 
-  if (NextIndex >= TotalEvents)
+  if (NextIndex >= Header.TotalEvents)
     return false;
   uint32_t Word = 0;
   if (!getU32(IS, Word)) {
@@ -589,7 +624,7 @@ size_t TraceFileReader::nextBatch(std::span<BranchEvent> Buffer) {
 
   // v1: one bulk read per chunk instead of one 4-byte read per event.
   const size_t Want = static_cast<size_t>(std::min<uint64_t>(
-      Buffer.size(), TotalEvents - NextIndex));
+      Buffer.size(), Header.TotalEvents - NextIndex));
   if (Want == 0)
     return 0;
   Payload.resize(Want * 4);

@@ -55,7 +55,7 @@ struct TraceFileLimits {
 inline constexpr uint32_t TraceV2BlockEvents = 4096;
 
 /// SCT2 fixed-layout sizes, shared by every component that walks the
-/// format directly (file reader, trace arena, mmap store, --stats).
+/// format directly (TraceFileReader, MaterializedTrace).
 /// Header: magic + sites + total events + min/max gap + block events.
 inline constexpr size_t TraceV2HeaderBytes = 4 + 4 + 8 + 4 + 4 + 4;
 /// Per-block frame: event count + payload bytes + XXH64 checksum.
@@ -77,6 +77,46 @@ inline constexpr uint32_t TraceV2MaxPadBytes = 1u << 20;
 /// block frame stores its XXH64 payload checksum.
 inline constexpr uint64_t TraceV2PadMagic = 0x0044415032544353ull;
 
+/// The SCT2 file header (everything after the magic).
+struct TraceV2Header {
+  uint32_t NumSites = 0;
+  uint64_t TotalEvents = 0;
+  uint32_t MinGap = 0;
+  uint32_t MaxGap = 0;
+  uint32_t BlockEvents = 0; ///< max events per block
+};
+
+/// One SCT2 frame header: a block of events, or an alignment pad.
+struct TraceV2Frame {
+  uint32_t Events = 0;       ///< 0 marks a pad frame
+  uint32_t PayloadBytes = 0; ///< bytes following the frame header
+  uint64_t Checksum = 0;     ///< payload XXH64, or TraceV2PadMagic for a pad
+  bool isPad() const { return Events == 0; }
+};
+
+/// Parses the TraceV2HeaderBytes at \p P, magic included.  Returns false
+/// when the magic is not "SCT2" or the block size is out of range.
+bool parseTraceV2Header(const uint8_t *P, TraceV2Header &Out);
+
+/// Reads the TraceV2FrameBytes at \p P (no validation).
+TraceV2Frame readTraceV2Frame(const uint8_t *P);
+
+/// The SCT2 frame validator every reader goes through (the streaming
+/// TraceFileReader and the MaterializedTrace index walk), so framing is
+/// decided in one place.  Returns nullptr when \p F may follow
+/// \p EventsSoFar (<= H.TotalEvents) events of a trace with header \p H,
+/// else the reason:
+///  * a pad needs the TraceV2PadMagic sentinel, at most TraceV2MaxPadBytes
+///    of payload and, when \p PadPayload is non-null, all-zero payload
+///    bytes (a streaming reader checks the frame before reading the
+///    payload, then again with it);
+///  * a block holds at most H.BlockEvents events and no more than remain,
+///    in a payload of [2, 6] bytes per event (the shortest and longest
+///    event encodings).
+const char *checkTraceV2Frame(const TraceV2Header &H, uint64_t EventsSoFar,
+                              const TraceV2Frame &F,
+                              const uint8_t *PadPayload = nullptr);
+
 /// Drains \p Gen to \p OS in SCT1 format.  Returns the number of events
 /// written, or 0 on failure (an event exceeded the format limits or the
 /// stream went bad).
@@ -94,9 +134,9 @@ bool decodeTraceBlockPayload(const uint8_t *Payload, size_t PayloadBytes,
                              BranchEvent *Out);
 
 /// Validation-free variant of decodeTraceBlockPayload for payloads already
-/// proven well-formed (the arena/mmap replay paths: images come straight
-/// from TraceWriterV2 or were fully decoded+checksummed before the first
-/// trusted decode).  Same event reconstruction, no bounds or range checks,
+/// proven well-formed (ArenaReplaySource: owned images come straight from
+/// TraceWriterV2, and a mapped block is checksummed and check-decoded on
+/// its first touch before any trusted decode).  Same event reconstruction, no bounds or range checks,
 /// cannot fail; the payload size only delimits the encoded bytes and is
 /// never re-validated.  Implementation is the SWAR batch decoder: four
 /// events per 8-byte load on the 1-byte varint fast path, falling back to
@@ -187,10 +227,10 @@ public:
   bool valid() const { return Valid; }
   /// Format version (1 or 2); meaningful when valid().
   unsigned version() const { return Version; }
-  uint32_t numSites() const { return NumSites; }
-  uint64_t totalEvents() const { return TotalEvents; }
-  uint32_t minGap() const { return MinGap; }
-  uint32_t maxGap() const { return MaxGap; }
+  uint32_t numSites() const { return Header.NumSites; }
+  uint64_t totalEvents() const { return Header.TotalEvents; }
+  uint32_t minGap() const { return Header.MinGap; }
+  uint32_t maxGap() const { return Header.MaxGap; }
 
   /// Produces the next event; false at end or on any error (which
   /// truncated()/failed() then distinguish).
@@ -215,11 +255,7 @@ private:
   bool Truncated = false;
   unsigned Version = 1;
   std::string Error;
-  uint32_t NumSites = 0;
-  uint64_t TotalEvents = 0;
-  uint32_t MinGap = 0;
-  uint32_t MaxGap = 0;
-  uint32_t BlockEvents = 0; ///< v2 only: max events per block
+  TraceV2Header Header; ///< both versions (BlockEvents is v2 only)
   uint64_t NextIndex = 0;
   uint64_t InstRet = 0;
   // v2 staging: the current verified, decoded block.

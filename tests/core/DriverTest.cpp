@@ -3,7 +3,6 @@
 #include "core/Driver.h"
 
 #include "core/ReactiveController.h"
-#include "support/RunConfig.h"
 #include "workload/TraceFile.h"
 #include "workload/TraceGenerator.h"
 
@@ -54,6 +53,22 @@ TEST(DriverTest, RunsWholeTrace) {
   EXPECT_LT(S.incorrectRate(), 0.01);
 }
 
+namespace {
+
+/// Counts events and speculated verdicts, checking each event's site.
+class CountingObserver final : public TraceObserver {
+public:
+  void onEvent(const BranchEvent &E, const BranchVerdict &V) override {
+    ++Events;
+    Speculated += V.Speculated;
+    EXPECT_LT(E.Site, 2u);
+  }
+  uint64_t Events = 0;
+  uint64_t Speculated = 0;
+};
+
+} // namespace
+
 TEST(DriverTest, HookSeesEveryEventAndVerdict) {
   const WorkloadSpec Spec = twoSiteSpec();
   ReactiveConfig Cfg;
@@ -61,16 +76,11 @@ TEST(DriverTest, HookSeesEveryEventAndVerdict) {
   Cfg.OptLatency = 0;
   ReactiveController C(Cfg);
 
-  uint64_t Events = 0, Speculated = 0;
+  CountingObserver Observer;
   workload::TraceGenerator Gen(Spec, Spec.refInput());
-  const ControlStats &S = runTrace(
-      C, Gen, [&](const BranchEvent &E, const BranchVerdict &V) {
-        ++Events;
-        Speculated += V.Speculated;
-        EXPECT_LT(E.Site, 2u);
-      });
-  EXPECT_EQ(Events, Spec.RefEvents);
-  EXPECT_EQ(Speculated, S.CorrectSpecs + S.IncorrectSpecs);
+  const ControlStats &S = runTrace(C, Gen, &Observer);
+  EXPECT_EQ(Observer.Events, Spec.RefEvents);
+  EXPECT_EQ(Observer.Speculated, S.CorrectSpecs + S.IncorrectSpecs);
 }
 
 TEST(DriverTest, PartiallyConsumedGeneratorFinishes) {
@@ -87,8 +97,6 @@ TEST(DriverTest, PartiallyConsumedGeneratorFinishes) {
 // Observers are move-only by design: the engine hands each cell's
 // observer around by unique_ptr, and an accidental copy would silently
 // fork (and then drop) collected state.
-static_assert(!std::is_copy_constructible_v<LambdaTraceObserver>);
-static_assert(!std::is_copy_assignable_v<LambdaTraceObserver>);
 static_assert(!std::is_copy_constructible_v<ProfileObserver>);
 static_assert(!std::is_copy_assignable_v<ProfileObserver>);
 
@@ -157,14 +165,22 @@ TEST(DriverTest, MetricsCountEventsAndChunks) {
 }
 
 TEST(DriverTest, RunTraceFileMatchesGeneratorViaBothTiers) {
+  // An SCT2 file replays through the mapped image, an SCT1 file through
+  // the streaming reader; both must reproduce the generator's stats
+  // exactly.
   const WorkloadSpec Spec = twoSiteSpec();
-  const std::string Path =
-      (std::filesystem::temp_directory_path() / "drv_runtracefile.sct2")
-          .string();
+  const std::filesystem::path Dir = std::filesystem::temp_directory_path();
+  const std::string V2Path = (Dir / "drv_runtracefile.sct2").string();
+  const std::string V1Path = (Dir / "drv_runtracefile.sct1").string();
   {
-    std::ofstream Out(Path, std::ios::binary);
+    std::ofstream Out(V2Path, std::ios::binary);
     TraceGenerator Gen(Spec, Spec.refInput());
     ASSERT_GT(writeTraceV2(Out, Gen), 0u);
+  }
+  {
+    std::ofstream Out(V1Path, std::ios::binary);
+    TraceGenerator Gen(Spec, Spec.refInput());
+    ASSERT_GT(writeTrace(Out, Gen), 0u);
   }
 
   ReactiveConfig Cfg;
@@ -173,20 +189,14 @@ TEST(DriverTest, RunTraceFileMatchesGeneratorViaBothTiers) {
   ReactiveController Reference(Cfg);
   const ControlStats Want = runWorkload(Reference, Spec, Spec.refInput());
 
-  // Zero-copy mmap tier (the default) and the stream-reader fallback must
-  // both reproduce the generator's stats exactly.
-  const RunConfig Saved = RunConfig::global();
-  for (const bool Mmap : {true, false}) {
-    RunConfig Override = Saved;
-    Override.TraceMmap = Mmap;
-    RunConfig::setGlobal(Override);
+  for (const std::string &Path : {V2Path, V1Path}) {
     ReactiveController C(Cfg);
-    EXPECT_EQ(runTraceFile(C, Path), Want) << "mmap=" << Mmap;
+    EXPECT_EQ(runTraceFile(C, Path), Want) << Path;
   }
-  RunConfig::setGlobal(Saved);
 
   ReactiveController C(Cfg);
-  EXPECT_THROW(runTraceFile(C, Path + ".does-not-exist"),
+  EXPECT_THROW(runTraceFile(C, V2Path + ".does-not-exist"),
                std::runtime_error);
-  std::remove(Path.c_str());
+  std::remove(V2Path.c_str());
+  std::remove(V1Path.c_str());
 }

@@ -1,8 +1,7 @@
 //===- tests/support/RunConfigTest.cpp ------------------------------------===//
 //
-// The typed run configuration: canonical environment names, the
-// deprecated aliases (honored only when the canonical name is unset,
-// with a one-line note), and the execution-tier parsing.
+// The typed run configuration: environment names, defaults, notes for
+// malformed values, and the execution-tier parsing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,12 +43,11 @@ public:
   }
 
 private:
-  static constexpr const char *Names[10] = {
-      "SPECCTRL_VERIFY",        "SPECCTRL_VERIFY_DISTILL",
-      "SPECCTRL_ARENA_VERBOSE", "SPECCTRL_ARENA_DEBUG",
-      "SPECCTRL_EXEC_TIER",     "SPECCTRL_SERVE_EPOCH_EVENTS",
-      "SPECCTRL_SERVE_RING_EVENTS", "SPECCTRL_TRACE_MMAP",
-      "SPECCTRL_SWEEP_PROCS",   "SPECCTRL_VERIFY_SPECLEAK"};
+  static constexpr const char *Names[7] = {
+      "SPECCTRL_VERIFY",           "SPECCTRL_ARENA_VERBOSE",
+      "SPECCTRL_EXEC_TIER",        "SPECCTRL_SERVE_EPOCH_EVENTS",
+      "SPECCTRL_SERVE_RING_EVENTS", "SPECCTRL_SWEEP_PROCS",
+      "SPECCTRL_VERIFY_SPECLEAK"};
   std::vector<std::pair<const char *, std::string>> Saved;
   std::vector<bool> HadValue;
 };
@@ -112,34 +110,6 @@ TEST(RunConfig, ZeroAndEmptyMeanOff) {
   EXPECT_FALSE(Cfg.ArenaVerbose);
 }
 
-TEST(RunConfig, DeprecatedAliasesWorkWithWarning) {
-  ScopedEnv Env;
-  Env.set("SPECCTRL_VERIFY_DISTILL", "1");
-  Env.set("SPECCTRL_ARENA_DEBUG", "1");
-  std::string Warnings;
-  const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_TRUE(Cfg.VerifyDistill);
-  EXPECT_TRUE(Cfg.ArenaVerbose);
-  EXPECT_NE(Warnings.find("SPECCTRL_VERIFY_DISTILL is deprecated"),
-            std::string::npos)
-      << Warnings;
-  EXPECT_NE(Warnings.find("SPECCTRL_ARENA_DEBUG is deprecated"),
-            std::string::npos)
-      << Warnings;
-}
-
-TEST(RunConfig, CanonicalNameWinsOverAlias) {
-  ScopedEnv Env;
-  Env.set("SPECCTRL_VERIFY", "0");
-  Env.set("SPECCTRL_VERIFY_DISTILL", "1");
-  std::string Warnings;
-  const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_FALSE(Cfg.VerifyDistill)
-      << "a set canonical name must shadow the alias entirely";
-  EXPECT_TRUE(Warnings.empty())
-      << "no deprecation note when the alias is shadowed: " << Warnings;
-}
-
 TEST(RunConfig, UnknownTierWarnsAndKeepsDefault) {
   for (const char *Bad : {"turbo", "threaded"}) {
     ScopedEnv Env;
@@ -183,17 +153,6 @@ TEST(RunConfig, ServeKnobsRejectMalformedValuesWithWarning) {
   EXPECT_NE(Warnings.find("SPECCTRL_SERVE_RING_EVENTS=lots"),
             std::string::npos)
       << Warnings;
-}
-
-TEST(RunConfig, TraceMmapDefaultsOnAndZeroDisables) {
-  ScopedEnv Env;
-  EXPECT_TRUE(RunConfig::fromEnv().TraceMmap) << "mmap tier defaults on";
-  Env.set("SPECCTRL_TRACE_MMAP", "0");
-  EXPECT_FALSE(RunConfig::fromEnv().TraceMmap);
-  Env.set("SPECCTRL_TRACE_MMAP", "1");
-  EXPECT_TRUE(RunConfig::fromEnv().TraceMmap);
-  Env.set("SPECCTRL_TRACE_MMAP", "");
-  EXPECT_FALSE(RunConfig::fromEnv().TraceMmap) << "explicit empty means off";
 }
 
 TEST(RunConfig, VerifySpecLeakDefaultsOnAndZeroOptsOut) {

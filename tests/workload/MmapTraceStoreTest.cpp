@@ -1,13 +1,13 @@
 //===- tests/workload/MmapTraceStoreTest.cpp ------------------------------===//
 //
-// The mmap trace store's contract: an MmapReplaySource streams events
-// bit-identical to TraceFileReader over the same file -- across the whole
-// benchmark suite, both inputs, packed and page-aligned layouts, and any
-// consumer chunk size; mapped bytes stay untrusted until their block's
-// first-touch checksum + checked decode passes, so corruption and
-// truncation are rejected whole-block with zero fabricated events; the
-// SWAR trusted decoder is bit-identical to the scalar baseline; and the
-// registry shares one mapping per file.
+// The mmap trace store's contract: an ArenaReplaySource over a mapped
+// MaterializedTrace streams events bit-identical to TraceFileReader over
+// the same file -- across the whole benchmark suite, both inputs, packed
+// and page-aligned layouts, and any consumer chunk size; mapped bytes stay
+// untrusted until their block's first-touch checksum + checked decode
+// passes, so corruption and truncation are rejected whole-block with zero
+// fabricated events; the SWAR trusted decoder is bit-identical to the
+// scalar baseline; and the registry shares one mapping per file.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +66,7 @@ void recordTrace(const std::string &Path, const WorkloadSpec &Spec,
 
 /// Drains \p Source in chunks of \p Batch and compares every event -- all
 /// fields -- against TraceFileReader over the same file.
-void expectFileIdentity(MmapReplaySource &Source, const std::string &Path,
+void expectFileIdentity(ArenaReplaySource &Source, const std::string &Path,
                         size_t Batch, uint64_t WantEvents) {
   std::ifstream In(Path, std::ios::binary);
   ASSERT_TRUE(In.is_open());
@@ -106,7 +106,7 @@ TEST(MmapTraceStoreTest, ReplayMatchesFileReaderAcrossSuiteAndLayouts) {
         recordTrace(Path, Spec, Input, Align);
         // Both cursors first (so the second open finds the live mapping),
         // then replay each at its chunk size.
-        std::vector<std::unique_ptr<MmapReplaySource>> Cursors;
+        std::vector<std::unique_ptr<ArenaReplaySource>> Cursors;
         for (size_t C = 0; C < std::size(TestBatches); ++C) {
           std::string Error;
           Cursors.push_back(Store.openCursor(Path, &Error));
@@ -131,7 +131,7 @@ TEST(MmapTraceStoreTest, PerEventNextMatchesGenerator) {
   recordTrace(Path, Spec, Input, TraceV2AlignBytes);
 
   std::string Error;
-  const std::unique_ptr<MmapReplaySource> Source =
+  const std::unique_ptr<ArenaReplaySource> Source =
       MmapTraceStore().openCursor(Path, &Error);
   ASSERT_TRUE(Source) << Error;
   TraceGenerator Reference(Spec, Input);
@@ -156,7 +156,7 @@ TEST(MmapTraceStoreTest, ResetRestartsTheStreamAndRunsVerifiedPath) {
 
   std::string Error;
   MmapTraceStore Store;
-  const std::unique_ptr<MmapReplaySource> Source =
+  const std::unique_ptr<ArenaReplaySource> Source =
       Store.openCursor(Path, &Error);
   ASSERT_TRUE(Source) << Error;
   // First pass verifies every block (checked decode); the second pass
@@ -177,8 +177,8 @@ TEST(MmapTraceStoreTest, MappingIsSharedAndIndexIsLean) {
 
   MmapTraceStore Store;
   std::string Error;
-  const std::unique_ptr<MmapReplaySource> A = Store.openCursor(Path, &Error);
-  const std::unique_ptr<MmapReplaySource> B = Store.openCursor(Path, &Error);
+  const std::unique_ptr<ArenaReplaySource> A = Store.openCursor(Path, &Error);
+  const std::unique_ptr<ArenaReplaySource> B = Store.openCursor(Path, &Error);
   ASSERT_TRUE(A);
   ASSERT_TRUE(B);
   EXPECT_EQ(&A->trace(), &B->trace()); // one mapping, two cursors
@@ -224,7 +224,7 @@ TEST(MmapTraceStoreTest, PayloadCorruptionIsRejectedWholeBlock) {
   }
 
   std::string Error;
-  const std::unique_ptr<MmapReplaySource> Source =
+  const std::unique_ptr<ArenaReplaySource> Source =
       MmapTraceStore().openCursor(Path, &Error);
   ASSERT_TRUE(Source) << Error;
   TraceGenerator Reference(Spec, Input);

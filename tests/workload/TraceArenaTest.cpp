@@ -3,15 +3,17 @@
 // The trace arena's contract: an ArenaReplaySource streams events
 // bit-identical to the TraceGenerator for the same (spec, input) -- Index
 // and InstRet included -- at any consumer chunk size; a key materializes
-// exactly once no matter how many cursors open it; the disk tier
-// round-trips through ordinary v2 trace files and regenerates on
-// corruption; and traces beyond the SCT2 encoding limits fall back to a
-// private generator transparently.
+// exactly once no matter how many cursors open it; the cache directory
+// round-trips through ordinary v2 trace files, maps them, and regenerates
+// any file that fails verification; and traces beyond the SCT2 encoding
+// limits fall back to a private generator transparently.
 //
 //===----------------------------------------------------------------------===//
 
 #include "workload/TraceArena.h"
 
+#include "core/Driver.h"
+#include "core/ReactiveController.h"
 #include "workload/SpecSuite.h"
 #include "workload/TraceGenerator.h"
 
@@ -20,8 +22,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
 
 using namespace specctrl;
@@ -111,8 +116,8 @@ TEST(TraceArenaTest, ReplayMatchesGeneratorAcrossSuiteAndChunkSizes) {
   EXPECT_EQ(S.Materializations, 24u);
   EXPECT_EQ(S.CursorOpens, 48u);
   EXPECT_EQ(S.Fallbacks, 0u);
-  EXPECT_EQ(S.DiskLoads, 0u);
-  EXPECT_EQ(S.DiskStores, 0u);
+  EXPECT_EQ(S.MmapLoads, 0u);
+  EXPECT_EQ(S.MmapStores, 0u);
   EXPECT_GT(S.ResidentEvents, 0u);
   // The SCT2 encoding must actually compress vs the 4 B/event v1 format.
   EXPECT_LT(S.ResidentBytes, 4 * S.ResidentEvents);
@@ -195,7 +200,7 @@ TEST(TraceArenaTest, DiskTierRoundTripsAcrossArenaInstances) {
   TempDir Dir;
 
   {
-    // Cold: the mmap tier stream-generates a page-aligned cache file and
+    // Cold: the arena stream-generates a page-aligned cache file and
     // serves it zero-copy -- nothing is materialized resident.
     TraceArena::Config Cfg;
     Cfg.CacheDir = Dir.str();
@@ -221,85 +226,55 @@ TEST(TraceArenaTest, DiskTierRoundTripsAcrossArenaInstances) {
   EXPECT_EQ(S.MmapLoads, 1u);
   EXPECT_EQ(S.MmapStores, 0u);
   EXPECT_EQ(S.Materializations, 0u);
-  EXPECT_EQ(S.DiskLoads, 0u);
   EXPECT_EQ(S.ResidentBytes, 0u);
+  EXPECT_TRUE(Warm.materialize(Spec, Input)->mapped());
 }
 
-TEST(TraceArenaTest, DiskTierResidentPathStillWorksWithMmapOff) {
+TEST(TraceArenaTest, CacheServesPackedAndAlignedFiles) {
+  // The cache maps any well-formed SCT2 file at the key's path: the
+  // page-aligned file a miss writes, and the packed layout (what
+  // `specctrl-trace --migrate` writes without --align) -- both
+  // bit-identical.
   const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
   const InputConfig Input = Spec.refInput();
   TempDir Dir;
 
-  {
+  { // a miss writes the aligned layout ...
     TraceArena::Config Cfg;
     Cfg.CacheDir = Dir.str();
-    Cfg.UseMmap = false;
-    TraceArena Cold(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = Cold.open(Spec, Input);
+    TraceArena A(std::move(Cfg));
+    const std::unique_ptr<EventSource> Source = A.open(Spec, Input);
     expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    const TraceArenaStats S = Cold.stats();
-    EXPECT_EQ(S.Materializations, 1u);
-    EXPECT_EQ(S.DiskStores, 1u);
-    EXPECT_EQ(S.DiskLoads, 0u);
-    EXPECT_EQ(S.MmapStores, 0u);
+    EXPECT_EQ(A.stats().MmapStores, 1u);
+    const std::shared_ptr<const MaterializedTrace> Trace =
+        A.materialize(Spec, Input);
+    EXPECT_GT(Trace->bytes(), TraceV2HeaderBytes + Trace->encodedBlockBytes())
+        << "aligned files carry pad frames";
   }
 
+  // ... rewritten in place in the packed layout ...
+  const std::filesystem::path Cached = cachedFile(Dir);
+  {
+    std::ifstream In(Cached, std::ios::binary);
+    std::ostringstream Packed(std::ios::binary);
+    ASSERT_EQ(migrateTrace(In, Packed), Input.Events);
+    In.close();
+    std::ofstream Out(Cached, std::ios::binary | std::ios::trunc);
+    Out << Packed.str();
+  }
+
+  // ... is served as a hit too.
   TraceArena::Config Cfg;
   Cfg.CacheDir = Dir.str();
-  Cfg.UseMmap = false;
-  TraceArena Warm(std::move(Cfg));
-  const std::unique_ptr<EventSource> Source = Warm.open(Spec, Input);
-  expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-  const TraceArenaStats S = Warm.stats();
-  EXPECT_EQ(S.Materializations, 0u);
-  EXPECT_EQ(S.DiskLoads, 1u);
-  EXPECT_EQ(S.DiskStores, 0u);
-  EXPECT_EQ(S.MmapLoads, 0u);
-}
-
-TEST(TraceArenaTest, MmapTierReadsResidentTierFilesAndViceVersa) {
-  // The two tiers share one cache file per key: a packed file written by
-  // the resident path must serve zero-copy, and an aligned file written by
-  // the mmap path must load resident -- both bit-identical.
-  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
-  const InputConfig Input = Spec.refInput();
-  TempDir Dir;
-
-  { // resident writes packed ...
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    Cfg.UseMmap = false;
-    TraceArena A(std::move(Cfg));
-    (void)A.materialize(Spec, Input);
-    EXPECT_EQ(A.stats().DiskStores, 1u);
-  }
-  { // ... mmap maps it
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    TraceArena B(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = B.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, 257);
-    EXPECT_EQ(B.stats().MmapLoads, 1u);
-  }
-
-  TempDir Dir2;
-  { // mmap writes aligned ...
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir2.str();
-    TraceArena C(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = C.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    EXPECT_EQ(C.stats().MmapStores, 1u);
-  }
-  { // ... resident loads it (pad frames skipped)
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir2.str();
-    Cfg.UseMmap = false;
-    TraceArena D(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = D.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    EXPECT_EQ(D.stats().DiskLoads, 1u);
-  }
+  TraceArena B(std::move(Cfg));
+  const std::unique_ptr<EventSource> Source = B.open(Spec, Input);
+  expectStreamIdentity(*Source, Spec, Input, 257);
+  EXPECT_EQ(B.stats().MmapLoads, 1u);
+  EXPECT_EQ(B.stats().MmapStores, 0u);
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      B.materialize(Spec, Input);
+  EXPECT_EQ(Trace->bytes(), TraceV2HeaderBytes + Trace->encodedBlockBytes())
+      << "packed files carry no pad frames";
 }
 
 TEST(TraceArenaTest, CorruptCacheFileIsRegeneratedNotServed) {
@@ -315,10 +290,9 @@ TEST(TraceArenaTest, CorruptCacheFileIsRegeneratedNotServed) {
   }
 
   // Flip one payload byte in the cached file: every block is
-  // checksum-verified before a stream is served (the mmap tier verifies
-  // the whole mapping up front), so the corruption must be detected and
-  // the trace regenerated (and re-stored), never replayed -- and never
-  // allowed to fail mid-replay.
+  // checksum-verified before a cache hit is served, so the corruption
+  // must be detected and the trace regenerated (and re-stored), never
+  // replayed -- and never allowed to fail mid-replay.
   const std::filesystem::path Cached = cachedFile(Dir);
   {
     std::fstream F(Cached, std::ios::in | std::ios::out | std::ios::binary);
@@ -328,39 +302,104 @@ TEST(TraceArenaTest, CorruptCacheFileIsRegeneratedNotServed) {
     F.write(&Flip, 1);
   }
 
-  {
-    // Mmap tier: the mapped file fails verification, is rewritten
-    // page-aligned, and the fresh mapping serves the pristine stream.
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    TraceArena Arena(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    const TraceArenaStats S = Arena.stats();
-    EXPECT_EQ(S.MmapLoads, 0u);
-    EXPECT_EQ(S.MmapStores, 1u); // the bad file was replaced
-    EXPECT_EQ(S.DiskLoads, 0u);
-    EXPECT_EQ(S.Materializations, 0u);
-  }
-
-  // Corrupt it again and take the resident path: same guarantee.
-  {
-    std::fstream F(Cached, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(F.is_open());
-    F.seekp(-1, std::ios::end);
-    const char Flip = static_cast<char>(F.peek() ^ 0x40);
-    F.write(&Flip, 1);
-  }
+  // The mapped file fails verification, is rewritten page-aligned, and
+  // the fresh mapping serves the pristine stream.
   TraceArena::Config Cfg;
   Cfg.CacheDir = Dir.str();
-  Cfg.UseMmap = false;
   TraceArena Arena(std::move(Cfg));
   const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
   expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
   const TraceArenaStats S = Arena.stats();
-  EXPECT_EQ(S.DiskLoads, 0u);
-  EXPECT_EQ(S.Materializations, 1u);
-  EXPECT_EQ(S.DiskStores, 1u); // the bad file was replaced
+  EXPECT_EQ(S.MmapLoads, 0u);
+  EXPECT_EQ(S.MmapStores, 1u); // the bad file was replaced
+  EXPECT_EQ(S.Materializations, 0u);
+}
+
+TEST(TraceArenaTest, NonzeroPadByteIsRejectedByEveryReader) {
+  // An aligned file with one nonzero byte inside a pad payload is
+  // malformed, and every reader must say so: the streaming reader stops
+  // at the pad having delivered only the blocks before it, the mapped
+  // image refuses to open, runTraceFile throws, and an arena whose cache
+  // holds the file regenerates it rather than serve it.
+  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
+  const InputConfig Input = Spec.refInput();
+  TempDir Dir;
+  {
+    TraceArena::Config Cfg;
+    Cfg.CacheDir = Dir.str();
+    TraceArena Cold(std::move(Cfg));
+    ASSERT_TRUE(Cold.materialize(Spec, Input));
+  }
+
+  // Find the third pad frame and the events of the blocks before it.
+  const std::filesystem::path Cached = cachedFile(Dir);
+  std::string Bytes;
+  {
+    std::ifstream In(Cached, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+  }
+  const auto *Base = reinterpret_cast<const uint8_t *>(Bytes.data());
+  size_t Pos = TraceV2HeaderBytes;
+  size_t PadAt = 0;
+  unsigned Pads = 0;
+  uint64_t EventsBefore = 0;
+  while (Pos + TraceV2FrameBytes <= Bytes.size()) {
+    const TraceV2Frame F = readTraceV2Frame(Base + Pos);
+    if (F.isPad() && ++Pads == 3) {
+      ASSERT_GT(F.PayloadBytes, 1u);
+      PadAt = Pos;
+      break;
+    }
+    EventsBefore += F.Events;
+    Pos += TraceV2FrameBytes + F.PayloadBytes;
+  }
+  ASSERT_NE(PadAt, 0u);
+  ASSERT_GT(EventsBefore, 0u);
+  Bytes[PadAt + TraceV2FrameBytes + 1] = 1;
+  {
+    std::ofstream Out(Cached, std::ios::binary | std::ios::trunc);
+    Out << Bytes;
+  }
+
+  {
+    std::ifstream In(Cached, std::ios::binary);
+    TraceFileReader Reader(In);
+    ASSERT_TRUE(Reader.valid());
+    TraceGenerator Reference(Spec, Input);
+    BranchEvent Got, Expected;
+    uint64_t Count = 0;
+    while (Reader.next(Got)) {
+      ASSERT_TRUE(Reference.next(Expected));
+      ASSERT_EQ(Got, Expected) << "event " << Count;
+      ++Count;
+    }
+    EXPECT_EQ(Count, EventsBefore);
+    EXPECT_TRUE(Reader.failed());
+    EXPECT_NE(Reader.error().find("pad"), std::string::npos)
+        << Reader.error();
+  }
+
+  {
+    std::string Error;
+    EXPECT_EQ(MaterializedTrace::map(Cached.string(), &Error), nullptr);
+    EXPECT_NE(Error.find("pad"), std::string::npos) << Error;
+  }
+
+  {
+    core::ReactiveController C(core::ReactiveConfig::baseline());
+    EXPECT_THROW(core::runTraceFile(C, Cached.string()), std::runtime_error);
+    EXPECT_EQ(C.stats().EventsConsumed, 0u);
+  }
+
+  TraceArena::Config Cfg;
+  Cfg.CacheDir = Dir.str();
+  TraceArena Arena(std::move(Cfg));
+  const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
+  expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
+  const TraceArenaStats S = Arena.stats();
+  EXPECT_EQ(S.MmapLoads, 0u);
+  EXPECT_EQ(S.MmapStores, 1u); // the bad file was replaced
 }
 
 TEST(TraceArenaTest, UnencodableTraceFallsBackToGenerator) {

@@ -1,10 +1,13 @@
 //===- tests/workload/TraceReplayFuzzTest.cpp -----------------------------===//
 //
 // Robustness of trace replay against damaged inputs: truncations, random
-// byte flips, and outright garbage must never crash the reader, and the
-// events it does deliver must be an exact prefix of the undamaged stream
-// (v2 additionally never delivers any event of a damaged block).  All
-// randomness is std::mt19937 with fixed seeds, so failures reproduce.
+// byte flips, and outright garbage must never crash either reader -- the
+// streaming TraceFileReader or an ArenaReplaySource over a mapping of the
+// same bytes, in the packed and the page-aligned SCT2 layouts -- and the
+// events a reader does deliver must be an exact prefix of the undamaged
+// stream (v2 additionally never delivers any event of a damaged block,
+// and a short stream says why it is short).  All randomness is
+// std::mt19937 with fixed seeds, so failures reproduce.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,13 +15,18 @@
 
 #include "core/Driver.h"
 #include "core/StaticControllers.h"
+#include "workload/TraceArena.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -61,36 +69,73 @@ std::string recordV1(const WorkloadSpec &Spec) {
   return OS.str();
 }
 
-std::string recordV2(const WorkloadSpec &Spec) {
+std::string recordV2(const WorkloadSpec &Spec, uint32_t AlignBytes = 0) {
   std::ostringstream OS;
   TraceGenerator Gen(Spec, Spec.refInput());
-  writeTraceV2(OS, Gen, FuzzBlockEvents);
+  writeTraceV2(OS, Gen, FuzzBlockEvents, AlignBytes);
   return OS.str();
 }
 
-/// Drains \p Bytes through a reader with an odd-sized chunk buffer,
-/// asserting every delivered event matches \p Reference at its index.
-/// \p Count receives the number of events delivered (void return so
-/// gtest's fatal assertions can be used inside).
-void drainCheckingPrefix(const std::string &Bytes,
-                         const std::vector<BranchEvent> &Reference,
-                         size_t &Count) {
-  std::istringstream IS(Bytes);
-  TraceFileReader Reader(IS);
-  Count = 0;
-  if (!Reader.valid())
-    return;
+/// The two readers under test.
+enum class ReaderKind { Stream, Mapped };
+
+const char *readerName(ReaderKind R) {
+  return R == ReaderKind::Stream ? "stream" : "mapped";
+}
+
+/// Drains \p Source with an odd-sized chunk buffer, asserting every
+/// delivered event matches \p Reference at its index.  \p Count receives
+/// the number of events delivered (void return so gtest's fatal
+/// assertions can be used inside).
+void drainSource(EventSource &Source, const std::vector<BranchEvent> &Reference,
+                 size_t &Count) {
   std::vector<BranchEvent> Chunk(257);
-  while (const size_t N = Reader.nextBatch(Chunk)) {
+  while (const size_t N = Source.nextBatch(Chunk)) {
     for (size_t I = 0; I < N; ++I) {
       ASSERT_LT(Count, Reference.size()) << "fabricated events past the end";
       ASSERT_EQ(Chunk[I], Reference[Count]) << "diverged at event " << Count;
       ++Count;
     }
   }
-  // A short stream must say why it is short.
-  if (Count < Reference.size())
-    EXPECT_TRUE(Reader.truncated() || Reader.failed());
+}
+
+/// Drains \p Bytes through reader \p R, checking the delivered events are
+/// a prefix of \p Reference; \p Count receives how many were delivered.
+/// The mapped reader maps a scratch file holding \p Bytes; a rejected
+/// open or header delivers nothing.  A short stream must say why it is
+/// short.
+void drainCheckingPrefix(ReaderKind R, const std::string &Bytes,
+                         const std::vector<BranchEvent> &Reference,
+                         size_t &Count) {
+  Count = 0;
+  if (R == ReaderKind::Stream) {
+    std::istringstream IS(Bytes);
+    TraceFileReader Reader(IS);
+    if (!Reader.valid())
+      return;
+    drainSource(Reader, Reference, Count);
+    if (Count < Reference.size()) {
+      EXPECT_TRUE(Reader.truncated() || Reader.failed());
+    }
+    return;
+  }
+  const std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("specctrl-replay-fuzz-" + std::to_string(::getpid()) + ".sct2"))
+          .string();
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << Bytes;
+  }
+  if (const std::shared_ptr<const MaterializedTrace> Trace =
+          MaterializedTrace::map(Path)) {
+    ArenaReplaySource Source(Trace);
+    drainSource(Source, Reference, Count);
+    if (Count < Reference.size()) {
+      EXPECT_TRUE(Source.failed());
+    }
+  }
+  std::filesystem::remove(Path);
 }
 
 } // namespace
@@ -98,7 +143,8 @@ void drainCheckingPrefix(const std::string &Bytes,
 TEST(TraceReplayFuzzTest, TruncationsDeliverExactPrefixes) {
   const WorkloadSpec Spec = fuzzSpec();
   const std::vector<BranchEvent> Reference = referenceStream(Spec);
-  for (const std::string &Bytes : {recordV1(Spec), recordV2(Spec)}) {
+  for (const std::string &Bytes :
+       {recordV1(Spec), recordV2(Spec), recordV2(Spec, TraceV2AlignBytes)}) {
     const bool V2 = Bytes.compare(0, 4, "SCT2") == 0;
     std::mt19937 Rng(1234);
     std::uniform_int_distribution<size_t> Cut(0, Bytes.size() - 1);
@@ -109,42 +155,51 @@ TEST(TraceReplayFuzzTest, TruncationsDeliverExactPrefixes) {
       Lengths.push_back(L);
     for (int I = 0; I < 60; ++I)
       Lengths.push_back(Cut(Rng));
-    for (const size_t Len : Lengths) {
-      size_t Count = 0;
-      drainCheckingPrefix(Bytes.substr(0, Len), Reference, Count);
-      if (::testing::Test::HasFatalFailure())
-        return;
-      EXPECT_LE(Count, Reference.size());
-      // v2 rejects damaged blocks whole: anything delivered is a whole
-      // number of full blocks (the final block is only partial-sized in
-      // the untruncated file, where Count == Reference.size()).
-      if (V2 && Count != Reference.size())
-        EXPECT_EQ(Count % FuzzBlockEvents, 0u) << "partial block at " << Len;
-    }
+    for (const ReaderKind R : {ReaderKind::Stream, ReaderKind::Mapped})
+      for (const size_t Len : Lengths) {
+        size_t Count = 0;
+        drainCheckingPrefix(R, Bytes.substr(0, Len), Reference, Count);
+        if (::testing::Test::HasFatalFailure())
+          return;
+        EXPECT_LE(Count, Reference.size());
+        // v2 rejects damaged blocks whole: anything delivered is a whole
+        // number of full blocks (the final block is only partial-sized in
+        // the untruncated file, where Count == Reference.size()).
+        if (V2 && Count != Reference.size()) {
+          EXPECT_EQ(Count % FuzzBlockEvents, 0u)
+              << readerName(R) << ": partial block at " << Len;
+        }
+      }
   }
 }
 
 TEST(TraceReplayFuzzTest, ByteFlipsNeverCrashOrFabricate) {
   const WorkloadSpec Spec = fuzzSpec();
   const std::vector<BranchEvent> Reference = referenceStream(Spec);
-  const std::string V2 = recordV2(Spec);
-  std::mt19937 Rng(99);
-  std::uniform_int_distribution<size_t> Pos(0, V2.size() - 1);
-  std::uniform_int_distribution<int> Bit(0, 7);
-  std::uniform_int_distribution<int> Flips(1, 3);
-  for (int Round = 0; Round < 300; ++Round) {
-    std::string Damaged = V2;
-    for (int F = Flips(Rng); F > 0; --F)
-      Damaged[Pos(Rng)] ^= static_cast<char>(1 << Bit(Rng));
-    // The reader may reject the header, stop early, or (if the flips
-    // cancelled out) deliver everything -- but whatever it delivers must
-    // be an exact prefix of the true stream in whole blocks.
-    size_t Count = 0;
-    drainCheckingPrefix(Damaged, Reference, Count);
-    if (::testing::Test::HasFatalFailure())
-      return;
-    if (Count != Reference.size())
-      EXPECT_EQ(Count % FuzzBlockEvents, 0u) << "round " << Round;
+  for (const uint32_t Align : {0u, TraceV2AlignBytes}) {
+    const std::string V2 = recordV2(Spec, Align);
+    std::mt19937 Rng(99);
+    std::uniform_int_distribution<size_t> Pos(0, V2.size() - 1);
+    std::uniform_int_distribution<int> Bit(0, 7);
+    std::uniform_int_distribution<int> Flips(1, 3);
+    for (int Round = 0; Round < 300; ++Round) {
+      std::string Damaged = V2;
+      for (int F = Flips(Rng); F > 0; --F)
+        Damaged[Pos(Rng)] ^= static_cast<char>(1 << Bit(Rng));
+      // A reader may reject the header, stop early, or (if the flips
+      // cancelled out) deliver everything -- but whatever it delivers
+      // must be an exact prefix of the true stream in whole blocks.
+      for (const ReaderKind R : {ReaderKind::Stream, ReaderKind::Mapped}) {
+        size_t Count = 0;
+        drainCheckingPrefix(R, Damaged, Reference, Count);
+        if (::testing::Test::HasFatalFailure())
+          return;
+        if (Count != Reference.size()) {
+          EXPECT_EQ(Count % FuzzBlockEvents, 0u)
+              << readerName(R) << " align=" << Align << " round " << Round;
+        }
+      }
+    }
   }
 }
 
@@ -165,6 +220,19 @@ TEST(TraceReplayFuzzTest, GarbageInputsFailCleanly) {
     // Nothing this short parses as a whole valid trace.
     EXPECT_TRUE(!Reader.valid() || Reader.truncated() || Reader.failed() ||
                 Count == Reader.totalEvents());
+  }
+  // The mapped reader over fresh garbage, half of it behind a valid magic:
+  // rejected at open, or a stream that says why it is short.
+  for (int Round = 0; Round < 100; ++Round) {
+    std::string Garbage(Len(Rng), '\0');
+    for (char &C : Garbage)
+      C = static_cast<char>(Byte(Rng));
+    if (Round % 2 == 0 && Garbage.size() >= 4)
+      Garbage.replace(0, 4, "SCT2"); // get past the magic check
+    size_t Count = 0;
+    drainCheckingPrefix(ReaderKind::Mapped, Garbage, {}, Count);
+    if (::testing::Test::HasFatalFailure())
+      return;
   }
   // A valid magic with a chopped header is still an invalid trace.
   for (const char *Magic : {"SCT1", "SCT2"}) {

@@ -28,8 +28,8 @@
 #include "support/Table.h"
 #include "workload/ProgramSynthesizer.h"
 #include "workload/SpecSuite.h"
-#include "workload/TraceFile.h"
 #include "workload/MmapTraceStore.h"
+#include "workload/TraceFile.h"
 #include "workload/TraceGenerator.h"
 
 #include <sys/resource.h>
@@ -103,8 +103,8 @@ int main(int Argc, char **Argv) {
   if (!Opts.getString("stats").empty()) {
     const std::string &Path = Opts.getString("stats");
     std::string Error;
-    const std::shared_ptr<const MappedTrace> Trace =
-        MappedTrace::open(Path, &Error);
+    const std::shared_ptr<const MaterializedTrace> Trace =
+        MaterializedTrace::map(Path, &Error);
     if (!Trace) {
       std::cerr << "error: " << Error << '\n';
       return 1;
@@ -133,7 +133,7 @@ int main(int Argc, char **Argv) {
   if (!Opts.getString("replay").empty() && Opts.getFlag("mmap")) {
     const std::string &Path = Opts.getString("replay");
     std::string Error;
-    const std::unique_ptr<MmapReplaySource> Cursor =
+    const std::unique_ptr<ArenaReplaySource> Cursor =
         MmapTraceStore::global().openCursor(Path, &Error);
     if (!Cursor) {
       std::cerr << "error: " << Error << '\n';
